@@ -14,7 +14,6 @@ from .matroid import (
     contract_to,
     direct_sum,
     dual,
-    equals,
     gamma,
     relabel,
     restrict,
@@ -67,7 +66,6 @@ __all__ = [
     "contract_to",
     "direct_sum",
     "uniform",
-    "equals",
     "relabel",
     "validate_matroid",
     "Representation",

@@ -26,7 +26,6 @@ from .complexity import (
 from .matroid import gamma, matroid_from_dict, matroid_to_dict, uniform
 from .matroid import contract_to as matroid_contract_to
 from .matroid import dual as matroid_dual
-from .matroid import equals as matroid_equals
 from .matroid import restrict as matroid_restrict
 from .representation import (
     dual_representation,
@@ -138,9 +137,7 @@ def cmd_transform(args) -> int:
             if args.op == "rebase":
                 raise InputError("rebase needs --base")
             m = before if before is not None else gamma(rep, max_ground=args.limit)
-            ids = sorted(rep.ground)  # gamma's ground positions follow vertex-id order
-            mask = min(m.bases)
-            base = frozenset(ids[j] for j in range(len(ids)) if mask >> j & 1)
+            base = rep.ids_for(m.labels_of(min(m.bases)))
         out = standardize(rep, base) if args.op == "standardize" else rebase(rep, base)
     elif args.op in ("restrict", "contract"):
         if subset_labels is None:
@@ -163,7 +160,7 @@ def cmd_transform(args) -> int:
             expected = matroid_contract_to(before, subset_labels)
         else:
             expected = before
-        if not matroid_equals(after, expected):
+        if after != expected:
             _note("verification FAILED: transformed representation has the wrong matroid")
             return EXIT_VIOLATION
         _note("verified: transformed representation has the expected matroid")

@@ -39,6 +39,7 @@ comparison.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -238,11 +239,9 @@ def lower_bound(m: Matroid, base_labels: Iterable[str]) -> int:
     """Arcs any standard representation with target base T needs: every
     non-loop element outside T must reach the targets, so it has an out-arc
     of its own."""
-    t_mask = m.mask_of(base_labels)
-    if t_mask not in m.bases:
+    if m.mask_of(base_labels) not in m.bases:
         raise ValueError("lower_bound needs a base as its target set")
-    loops_mask = m.mask_of(m.loops())
-    return (m.full_mask & ~t_mask & ~loops_mask).bit_count()
+    return len(m.ground) - len(m.loops()) - m.rank
 
 
 def _circuit_ids(m: Matroid) -> list[tuple[int, ...]]:
@@ -300,7 +299,7 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
     count = 0
     for combo in combinations(pairs, a):
         count += 1
-        if deadline is not None and count % 512 == 0 and time.time() > deadline:
+        if deadline is not None and count % 512 == 0 and time.monotonic() > deadline:
             return None, count, False
 
         if k:
@@ -385,8 +384,8 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     earlier, a later success is still returned but flagged non-exhaustive.
     """
     limits = limits or SearchLimits()
-    t0 = time.time()
-    deadline = t0 + limits.wall_secs if limits.wall_secs is not None else None
+    t0 = time.perf_counter()
+    deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
     g = len(m.ground)
     if g > 16:
         raise EnumerationLimitError(f"ground set has {g} elements, search limit is 16")
@@ -397,13 +396,11 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
         tuple(i for i in range(g) if b >> i & 1) for b in bases_masks
     )
     circuits_ids = tuple(_circuit_ids(m))
-    union = 0
-    for b in m.bases:
-        union |= b
-    loop_ids = tuple(i for i in range(g) if not union >> i & 1)
-    nonloop_ids = tuple(i for i in range(g) if union >> i & 1)
+    loops = m.loops()
+    loop_ids = tuple(i for i, lab in enumerate(m.ground) if lab in loops)
+    nonloop_ids = tuple(i for i, lab in enumerate(m.ground) if lab not in loops)
 
-    lb = len(nonloop_ids) - rank
+    lb = lower_bound(m, m.labels_of(bases_masks[0]))
     cap = limits.max_arcs if limits.max_arcs is not None else kw_upper_bound(rank, g)
     if cap < lb:
         raise BudgetExhaustedError(
@@ -420,9 +417,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
         ]
         level_complete = k_cap == a
         candidates = 0
-        witness_combo = None
-        witness_k = None
-        witness_tmask = None
+        found = None
 
         # candidate budget enforced on predicted raw counts, so the chunk
         # selection is the same no matter how many workers run
@@ -437,54 +432,41 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
             predicted_total += predicted
             todo.append(chunk)
 
-        def handle(chunk, result):
-            nonlocal candidates, level_complete, witness_combo, witness_k, witness_tmask
-            combo, n_cand, complete = result
-            candidates += n_cand
-            if not complete:
-                level_complete = False
-            if combo is not None and witness_combo is None:
-                witness_combo = combo
-                witness_k = chunk[2]
-                witness_tmask = chunk[1]
-
-        if limits.workers > 1 and len(todo) > 1:
+        # chunks are consumed in submission order, so the first witness is
+        # the same for every worker count; once it is found the pending
+        # chunks are cancelled
+        parallel = limits.workers > 1 and len(todo) > 1
+        if parallel:
             from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=limits.workers) as pool:
-                futures = [pool.submit(_search_chunk, chunk) for chunk in todo]
-                for chunk, fut in zip(todo, futures):
-                    handle(chunk, fut.result())
-                    if witness_combo is not None:
-                        for other in futures:
-                            other.cancel()
-                        break
-        else:
-            for chunk in todo:
-                handle(chunk, _search_chunk(chunk))
-                if witness_combo is not None:
+        with ProcessPoolExecutor(limits.workers) if parallel else nullcontext() as pool:
+            results = pool.map(_search_chunk, todo) if parallel else map(_search_chunk, todo)
+            for chunk, (combo, n_cand, complete) in zip(todo, results):
+                candidates += n_cand
+                level_complete &= complete
+                if combo is not None:
+                    found = combo, chunk[1], chunk[2]
                     break
+            if parallel:
+                pool.shutdown(cancel_futures=True)
 
         level_stats.append(LevelStats(a, candidates, level_complete))
 
-        if witness_combo is not None:
-            internal_labels = _fresh_internal_labels(m.ground, witness_k)
-            dig = Digraph(m.ground + tuple(internal_labels), frozenset(witness_combo))
-            witness = Representation(
-                dig,
-                frozenset(i for i in range(g) if witness_tmask >> i & 1),
-                frozenset(range(g)),
-            )
+        if found is not None:
+            combo, t_mask, k = found
+            internal_labels = _fresh_internal_labels(m.ground, k)
+            dig = Digraph(m.ground + tuple(internal_labels), frozenset(combo))
+            targets = frozenset(i for i in range(g) if t_mask >> i & 1)
+            witness = Representation(dig, targets, frozenset(range(g)))
             exhaustive = all(st.complete for st in level_stats[:-1])
             return ComplexityCertificate(
                 value=a,
                 witness=witness,
                 search_exhaustive=exhaustive,
                 levels=tuple(level_stats),
-                runtime_secs=time.time() - t0,
+                runtime_secs=time.perf_counter() - t0,
             )
 
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhaustedError(
                 f"wall-clock budget hit at level {a} with no representation found",
                 tuple(level_stats),
@@ -507,10 +489,6 @@ def verify_uniform_conjecture(r: int, n: int, limits: SearchLimits | None = None
 # -- widths ---------------------------------------------------------------------
 
 
-def _canonical_key(m: Matroid):
-    return (frozenset(m.ground), m.bases_label_sets())
-
-
 def f_width(
     m: Matroid,
     f: SuperAdditiveFn,
@@ -529,7 +507,7 @@ def f_width(
     if not is_superadditive(f, max(2 * g, 2)):
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
-    deadline = time.time() + limits.wall_secs if limits.wall_secs is not None else None
+    deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
     cache = arc_cache if arc_cache is not None else {}
 
     best = Fraction(0)
@@ -549,13 +527,13 @@ def f_width(
         for x_mask in sorted(x_masks):
             x_labels = tuple(sorted(m.labels_of(x_mask)))
             minor = restrict(contracted, x_labels)
-            key = _canonical_key(minor)
-            if key in cache:
-                value, cert_exhaustive = cache[key]
+            cached = cache.get(minor)
+            if cached is not None:
+                value, cert_exhaustive = cached
             else:
                 remaining = None
                 if deadline is not None:
-                    remaining = deadline - time.time()
+                    remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         entries.append(MinorEntry(x_labels, y_labels, None, False, None))
                         exhaustive = False
@@ -566,7 +544,7 @@ def f_width(
                     value, cert_exhaustive = cert.value, cert.search_exhaustive
                 except BudgetExhaustedError:
                     value, cert_exhaustive = None, False
-                cache[key] = (value, cert_exhaustive)
+                cache[minor] = (value, cert_exhaustive)
             if value is None or not cert_exhaustive:
                 entries.append(MinorEntry(x_labels, y_labels, value, False, None))
                 exhaustive = False

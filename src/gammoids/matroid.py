@@ -63,17 +63,12 @@ class Matroid:
     def full_mask(self) -> int:
         return (1 << len(self.ground)) - 1
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.ground)}
-
     def mask_of(self, labels: Iterable[str]) -> int:
-        pos = self._position
         mask = 0
         for lab in labels:
-            if lab not in pos:
+            if lab not in self.ground:
                 raise ValueError(f"{lab!r} is not a ground set element")
-            mask |= 1 << pos[lab]
+            mask |= 1 << self.ground.index(lab)
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:
@@ -99,8 +94,15 @@ class Matroid:
         return frozenset(self.labels_of(b) for b in self.bases)
 
     @cached_property
-    def _canonical(self) -> tuple[frozenset[str], frozenset[frozenset[str]]]:
-        return (frozenset(self.ground), self.bases_label_sets())
+    def _canonical(self) -> tuple[tuple[str, ...], frozenset[int]]:
+        """Sorted labels and the bases as masks over that order: equal exactly
+        when the label sets and the labelled basis families are."""
+        labels = sorted(self.ground)
+        if labels == list(self.ground):
+            return self.ground, self.bases
+        weight = [1 << labels.index(lab) for lab in self.ground]
+        bases = frozenset(sum(w for i, w in enumerate(weight) if b >> i & 1) for b in self.bases)
+        return tuple(labels), bases
 
     def __eq__(self, other):
         if not isinstance(other, Matroid):
@@ -127,11 +129,6 @@ class Matroid:
                 mask |= 1 << pos[lab]
             masks.add(mask)
         return cls(ground, frozenset(masks))
-
-
-def equals(m: Matroid, n: Matroid) -> bool:
-    """Label-based equality: same ground set and same basis family."""
-    return m == n
 
 
 def validate_matroid(m: Matroid) -> None:
@@ -295,4 +292,6 @@ def matroid_from_dict(obj: dict) -> Matroid:
         raise ValueError('matroid field "ground" must be a list of strings')
     if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
         raise ValueError('matroid field "bases" must be a list of lists')
-    return Matroid.from_label_sets(ground, bases)
+    m = Matroid.from_label_sets(ground, bases)
+    validate_matroid(m)
+    return m

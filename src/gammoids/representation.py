@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import Digraph, digraph_from_dict, digraph_to_dict, opposite, swap
-from .matroid import dual, equals, gamma
+from .matroid import dual, gamma
 from .routing import Routing, max_routing, validate_routing
 
 
@@ -102,7 +102,7 @@ def is_duality_respecting(rep: Representation, *, max_ground: int = 16) -> bool:
     targets represents the dual matroid."""
     m = gamma(rep, max_ground=max_ground)
     opp = Representation(opposite(rep.digraph), rep.ground - rep.targets, rep.ground)
-    return equals(gamma(opp, max_ground=max_ground), dual(m))
+    return gamma(opp, max_ground=max_ground) == dual(m)
 
 
 def dual_representation(rep: Representation) -> Representation:

@@ -33,11 +33,11 @@ from .matroid import (
     contract_to,
     direct_sum,
     dual,
-    equals,
     gamma,
     relabel,
     restrict,
     uniform,
+    validate_matroid,
 )
 from .representation import (
     Representation,
@@ -96,27 +96,6 @@ def random_representation(rng: random.Random, max_vertices: int = 6) -> Represen
     return Representation(Digraph.build(n, arcs), targets, ground)
 
 
-def _is_basis_family(masks: frozenset[int]) -> bool:
-    for b1 in masks:
-        for b2 in masks:
-            x = b1 & ~b2
-            while x:
-                low = x & -x
-                x ^= low
-                stripped = b1 ^ low
-                y = b2 & ~b1
-                ok = False
-                while y:
-                    ylow = y & -y
-                    y ^= ylow
-                    if stripped | ylow in masks:
-                        ok = True
-                        break
-                if not ok:
-                    return False
-    return True
-
-
 def all_matroids(labels: tuple[str, ...]):
     """Every matroid on the given labeled ground set, by filtering each
     equicardinal subset family through the basis-exchange axiom."""
@@ -124,9 +103,12 @@ def all_matroids(labels: tuple[str, ...]):
     for r in range(n + 1):
         subsets = [sum(1 << i for i in combo) for combo in combinations(range(n), r)]
         for fam in range(1, 1 << len(subsets)):
-            masks = frozenset(subsets[i] for i in range(len(subsets)) if fam >> i & 1)
-            if _is_basis_family(masks):
-                yield Matroid(labels, masks)
+            m = Matroid(labels, frozenset(subsets[i] for i in range(len(subsets)) if fam >> i & 1))
+            try:
+                validate_matroid(m)
+            except ValueError:
+                continue
+            yield m
 
 
 # -- suites -------------------------------------------------------------------
@@ -144,7 +126,7 @@ def swap_invariance_suite(max_vertices: int = 4, sample_every: int = 2048) -> Su
     are memoized on the loop-stripped digraph, which is exactly the
     normalization the routing engine itself applies; every `sample_every`-th
     case additionally re-compares all ground sets directly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
     for n in range(1, max_vertices + 1):
@@ -194,25 +176,24 @@ def swap_invariance_suite(max_vertices: int = 4, sample_every: int = 2048) -> Su
                             eset = frozenset(i for i in range(n) if e_bits >> i & 1)
                             m1 = gamma(Representation(d, tset, eset))
                             m2 = gamma(Representation(d2, t2set, eset))
-                            if not equals(m1, m2):
+                            if m1 != m2:
                                 _clip(
                                     failures,
                                     f"direct ground-set mismatch: n={n} arcs={sorted(arcs)} "
                                     f"swap=({r},{s}) E={sorted(eset)}",
                                 )
-    return SuiteResult("swap-invariance", cases, failures, time.time() - t0)
+    return SuiteResult("swap-invariance", cases, failures, time.perf_counter() - t0)
 
 
 def _base_id_sets(rep: Representation, m: Matroid) -> list[frozenset[int]]:
-    ids = sorted(rep.ground)
-    return [frozenset(ids[j] for j in range(len(ids)) if b >> j & 1) for b in sorted(m.bases)]
+    return [rep.ids_for(m.labels_of(b)) for b in sorted(m.bases)]
 
 
 def standardization_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> SuiteResult:
     """Random representations, every base each: standardize must yield a
     standard representation of the same matroid, and dualizing it must yield
     the dual matroid with exactly complemented bases."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures: list[str] = []
     cases = 0
@@ -228,16 +209,16 @@ def standardization_suite(count: int = 500, max_vertices: int = 6, seed: int = 7
             if not is_standard(std):
                 _clip(failures, f"{tag}: standardize output is not standard")
                 continue
-            if not equals(gamma(std), m):
+            if gamma(std) != m:
                 _clip(failures, f"{tag}: standardize changed the matroid")
                 continue
             ddual = dual_representation(std)
             md = gamma(ddual)
-            if not equals(md, dual(m)):
+            if md != dual(m):
                 _clip(failures, f"{tag}: dual representation does not represent the dual")
             if md.bases_label_sets() != complemented:
                 _clip(failures, f"{tag}: dual bases are not the complements")
-    return SuiteResult("standardization", cases, failures, time.time() - t0)
+    return SuiteResult("standardization", cases, failures, time.perf_counter() - t0)
 
 
 def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> SuiteResult:
@@ -245,7 +226,7 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
     subset X of the ground set, restriction and contraction must stay
     standard, never gain arcs, and represent the right minor (cross-checked
     against the rank-function oracle)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures: list[str] = []
     cases = 0
@@ -255,11 +236,9 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
         base = _base_id_sets(rep, m0)[0]
         std = standardize(rep, base)
         m = gamma(std)
-        ids = sorted(std.ground)
-        for x_bits in range(1 << len(ids)):
-            xs = frozenset(ids[j] for j in range(len(ids)) if x_bits >> j & 1)
-            x_labels = frozenset(std.digraph.labels[v] for v in xs)
-            x_mask = m.mask_of(x_labels)
+        for x_mask in range(m.full_mask + 1):
+            x_labels = m.labels_of(x_mask)
+            xs = std.ids_for(x_labels)
             cases += 1
             tag = f"instance {i} X={sorted(x_labels)}"
 
@@ -269,7 +248,7 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
             if rr.arc_count > std.arc_count:
                 _clip(failures, f"{tag}: restriction gained arcs")
             got = gamma(rr)
-            if not equals(got, restrict(m, x_labels)):
+            if got != restrict(m, x_labels):
                 _clip(failures, f"{tag}: restriction represents the wrong matroid")
             oracle = {m.labels_of(b) for b in brute_restrict_bases(m.bases, x_mask)}
             if got.bases_label_sets() != oracle:
@@ -281,19 +260,19 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
             if cc.arc_count > std.arc_count:
                 _clip(failures, f"{tag}: contraction gained arcs")
             got = gamma(cc)
-            if not equals(got, contract_to(m, x_labels)):
+            if got != contract_to(m, x_labels):
                 _clip(failures, f"{tag}: contraction represents the wrong matroid")
             oracle = {m.labels_of(b) for b in brute_contract_bases(m.bases, m.full_mask, x_mask)}
             if got.bases_label_sets() != oracle:
                 _clip(failures, f"{tag}: contraction disagrees with the rank oracle")
-    return SuiteResult("surgery", cases, failures, time.time() - t0)
+    return SuiteResult("surgery", cases, failures, time.perf_counter() - t0)
 
 
 def routing_oracle_suite(instances: int = 1000, max_vertices: int = 6, seed: int = 7) -> SuiteResult:
     """Random digraph/source/target instances: the flow engine must agree
     with exhaustive path-family enumeration, and its returned routing must
     satisfy every routing invariant."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures: list[str] = []
     for i in range(instances):
@@ -320,14 +299,14 @@ def routing_oracle_suite(instances: int = 1000, max_vertices: int = 6, seed: int
         expected = brute_max_routing_size(d, xs, ts)
         if routing.size != expected:
             _clip(failures, f"{tag}: engine size {routing.size} != oracle size {expected}")
-    return SuiteResult("routing-oracle", instances, failures, time.time() - t0)
+    return SuiteResult("routing-oracle", instances, failures, time.perf_counter() - t0)
 
 
 def arc_values_suite(limits: SearchLimits | None = None) -> SuiteResult:
     """Exact arc-complexity values for the small uniform matroids, each with
     an exhaustive certificate whose witness is re-checked by the path-family
     oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
     certificates: list[tuple[Matroid, ComplexityCertificate]] = []
@@ -341,9 +320,9 @@ def arc_values_suite(limits: SearchLimits | None = None) -> SuiteResult:
         cases += 1
         m = uniform(r, n)
         expected = r * (n - r)
-        t_one = time.time()
+        t_one = time.perf_counter()
         cert = arc_complexity(m, limits)
-        timings[f"U({r},{n})"] = round(time.time() - t_one, 3)
+        timings[f"U({r},{n})"] = round(time.perf_counter() - t_one, 3)
         certificates.append((m, cert))
         tag = f"U({r},{n})"
         if not cert.search_exhaustive:
@@ -365,7 +344,7 @@ def arc_values_suite(limits: SearchLimits | None = None) -> SuiteResult:
         "arc-values",
         cases,
         failures,
-        time.time() - t0,
+        time.perf_counter() - t0,
         details={"certificates": certificates, "timings": timings},
     )
 
@@ -374,19 +353,18 @@ def minor_complexity_suite(max_ground: int = 4, limits: SearchLimits | None = No
     """Every matroid on up to `max_ground` labeled elements: arc complexity is
     invariant under duality and non-increasing under restriction and
     contraction, all with exhaustive certificates."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
     certificates: list[tuple[Matroid, ComplexityCertificate]] = []
     cache: dict = {}
 
     def arcc(m: Matroid) -> int | None:
-        key = (frozenset(m.ground), m.bases_label_sets())
-        if key not in cache:
+        if m not in cache:
             cert = arc_complexity(m, limits)
             certificates.append((m, cert))
-            cache[key] = cert.value if cert.search_exhaustive else None
-        return cache[key]
+            cache[m] = cert.value if cert.search_exhaustive else None
+        return cache[m]
 
     letters = tuple("abcdefgh"[:max_ground])
     for size in range(max_ground + 1):
@@ -411,7 +389,7 @@ def minor_complexity_suite(max_ground: int = 4, limits: SearchLimits | None = No
         "minor-complexity",
         cases,
         failures,
-        time.time() - t0,
+        time.perf_counter() - t0,
         details={"certificates": certificates},
     )
 
@@ -421,7 +399,7 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     max(1, x) denominator: the width never grows under minors, is invariant
     under duality, and a direct sum's width stays below the max of the
     summands'."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
     fhat = SuperAdditiveFn.fhat()
@@ -437,14 +415,12 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     widths = {}
     for m in singles:
         report = f_width(m, fhat, limits, arc_cache=cache)
-        key = (frozenset(m.ground), m.bases_label_sets())
-        widths[key] = report
+        widths[m] = report
         if not report.exhaustive:
             _clip(failures, f"{m!r}: width search not exhaustive")
 
     for m in singles:
-        key = (frozenset(m.ground), m.bases_label_sets())
-        base_value = widths[key].value
+        base_value = widths[m].value
         dual_report = f_width(dual(m), fhat, limits, arc_cache=cache)
         cases += 1
         if dual_report.value != base_value:
@@ -488,7 +464,7 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
                 failures,
                 f"sum {m!r} + {n!r}: width {rs.value} exceeds max({rm.value}, {rn.value})",
             )
-    return SuiteResult("closure", cases, failures, time.time() - t0)
+    return SuiteResult("closure", cases, failures, time.perf_counter() - t0)
 
 
 def bounds_suite(
@@ -497,7 +473,7 @@ def bounds_suite(
 ) -> SuiteResult:
     """Every exhaustive certificate satisfies the closed-form upper bound and
     its witness touches at most two vertices per arc."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     if certificates is None:
         certificates = []
@@ -518,7 +494,7 @@ def bounds_suite(
             _clip(failures, f"{tag}: witness has more than 2|A| non-isolated vertices")
         if w.arc_count != cert.value:
             _clip(failures, f"{tag}: witness arc count differs from the value")
-    return SuiteResult("bounds", cases, failures, time.time() - t0)
+    return SuiteResult("bounds", cases, failures, time.perf_counter() - t0)
 
 
 SUITE_NAMES = (

@@ -4,7 +4,7 @@ import pytest
 
 from gammoids.cli import main
 from gammoids.complexity import uniform_rep
-from gammoids.matroid import equals, matroid_from_dict, matroid_to_dict, uniform
+from gammoids.matroid import matroid_from_dict, matroid_to_dict, uniform
 from gammoids.representation import rep_from_dict, rep_to_dict
 
 
@@ -26,7 +26,7 @@ def test_eval_uniform_rep(rep_file, capsys):
     assert main(["eval", rep_file]) == 0
     out = capsys.readouterr()
     m = matroid_from_dict(json.loads(out.out))
-    assert equals(m, uniform(2, 4))
+    assert m == uniform(2, 4)
     assert "rank 2" in out.err
 
 
@@ -34,7 +34,7 @@ def test_eval_round_trip_through_files(rep_file, tmp_path, capsys):
     out_path = tmp_path / "m.json"
     assert main(["eval", rep_file, "-o", str(out_path)]) == 0
     m = matroid_from_dict(json.loads(out_path.read_text()))
-    assert equals(m, uniform(2, 4))
+    assert m == uniform(2, 4)
 
 
 def test_eval_arc_free_full_target_rep(tmp_path, capsys):
@@ -105,6 +105,14 @@ def test_arc_complexity_budget_exit(tmp_path, capsys):
     assert main(["arc-complexity", str(path), "--limits.max-arcs", "3"]) == 3
     blob = json.loads(capsys.readouterr().out)
     assert blob["error"] == "budget-exhausted"
+
+
+@pytest.mark.parametrize("command", [["arc-complexity"], ["fwidth"], ["in-class", "--q", "1"]])
+def test_non_matroid_input_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "not_a_matroid.json"
+    path.write_text(json.dumps({"ground": ["a", "b", "c", "d"], "bases": [["a", "b"], ["c", "d"]]}))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    assert "basis-exchange fails for ['a', 'b'] / ['c', 'd']" in capsys.readouterr().err
 
 
 def test_fwidth_command(matroid_file, capsys):

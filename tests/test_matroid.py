@@ -11,7 +11,6 @@ from gammoids.matroid import (
     contract_to,
     direct_sum,
     dual,
-    equals,
     gamma,
     matroid_from_dict,
     matroid_to_dict,
@@ -21,7 +20,7 @@ from gammoids.matroid import (
     validate_matroid,
 )
 from gammoids.representation import Representation
-from gammoids.suites import random_representation
+from gammoids.suites import all_matroids, random_representation
 
 
 def bases(m):
@@ -56,10 +55,10 @@ def test_independence_and_loops():
 
 
 def test_dual_examples():
-    assert equals(dual(uniform(1, 3)), uniform(2, 3))
+    assert dual(uniform(1, 3)) == uniform(2, 3)
     free = uniform(3, 3)
-    assert equals(dual(free), uniform(0, 3))
-    assert equals(dual(dual(uniform(2, 4))), uniform(2, 4))
+    assert dual(free) == uniform(0, 3)
+    assert dual(dual(uniform(2, 4))) == uniform(2, 4)
 
 
 def test_dual_rank_complement():
@@ -69,7 +68,7 @@ def test_dual_rank_complement():
 
 def test_restrict_examples():
     m = uniform(2, 4)
-    assert equals(restrict(m, m.ground), m)
+    assert restrict(m, m.ground) == m
     assert bases(restrict(m, ("1", "2", "4"))) == {("1", "2"), ("1", "4"), ("2", "4")}
     empty = restrict(m, ())
     assert empty.ground == () and empty.rank == 0
@@ -82,7 +81,7 @@ def test_restrict_rejects_foreign_labels():
 
 def test_contract_examples():
     m = uniform(2, 4)
-    assert equals(contract_to(m, m.ground), m)
+    assert contract_to(m, m.ground) == m
     got = contract_to(m, ("1", "2", "3"))
     assert bases(got) == {("1",), ("2",), ("3",)}  # U(1,3) on the kept labels
     free = uniform(3, 3)
@@ -94,7 +93,7 @@ def test_direct_sum():
     n = relabel(uniform(1, 1), {"1": "2"})
     assert bases(direct_sum(m, n)) == {("1", "2")}
     empty = Matroid((), frozenset({0}))
-    assert equals(direct_sum(uniform(1, 2), empty), uniform(1, 2))
+    assert direct_sum(uniform(1, 2), empty) == uniform(1, 2)
     with pytest.raises(ValueError):
         direct_sum(uniform(1, 2), uniform(1, 2))
 
@@ -112,8 +111,14 @@ def test_direct_sum_rank_additive():
 def test_equality_is_label_based():
     m = Matroid.from_label_sets(("a", "b"), [("a",)])
     n = Matroid.from_label_sets(("b", "a"), [("a",)])
-    assert equals(m, n) and m == n and hash(m) == hash(n)
-    assert not equals(uniform(1, 2), uniform(2, 2))
+    assert m == n and hash(m) == hash(n)
+    assert uniform(1, 2) != uniform(2, 2)
+
+
+def test_all_matroids_counts_labelled_matroids():
+    # OEIS A058673: labelled matroids on n elements
+    counts = [sum(1 for _ in all_matroids(tuple("abcd"[:n]))) for n in range(5)]
+    assert counts == [1, 2, 5, 16, 68]
 
 
 def test_validate_matroid_catches_exchange_violation():
@@ -135,7 +140,7 @@ def test_gamma_arc_free_cases():
 def test_gamma_uniform_representation():
     from gammoids.complexity import uniform_rep
 
-    assert equals(gamma(uniform_rep(2, 4)), uniform(2, 4))
+    assert gamma(uniform_rep(2, 4)) == uniform(2, 4)
 
 
 def test_gamma_validates_when_asked():
@@ -191,7 +196,7 @@ def test_minor_composition_matches_oracle():
 def test_json_round_trip():
     m = uniform(2, 4)
     blob = json.dumps(matroid_to_dict(m))
-    assert equals(matroid_from_dict(json.loads(blob)), m)
+    assert matroid_from_dict(json.loads(blob)) == m
 
 
 def test_json_rejects_malformed():
@@ -199,3 +204,5 @@ def test_json_rejects_malformed():
         matroid_from_dict({"ground": "ab", "bases": []})
     with pytest.raises(ValueError):
         matroid_from_dict({"ground": ["a"], "bases": [["b"]]})
+    with pytest.raises(ValueError, match="basis-exchange"):
+        matroid_from_dict({"ground": ["a", "b", "c", "d"], "bases": [["a", "b"], ["c", "d"]]})

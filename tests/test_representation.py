@@ -7,7 +7,7 @@ import pytest
 from gammoids.bruteforce import brute_gamma_bases
 from gammoids.complexity import uniform_rep
 from gammoids.digraph import Digraph, swap
-from gammoids.matroid import contract_to, equals, gamma, restrict, uniform
+from gammoids.matroid import contract_to, gamma, restrict, uniform
 from gammoids.representation import (
     NotABaseError,
     NotStandardError,
@@ -102,7 +102,7 @@ def test_duality_respecting_counterexample_exists():
 def test_dual_representation_of_uniform():
     drep = dual_representation(uniform_rep(1, 3))
     assert is_standard(drep)
-    assert equals(gamma(drep), uniform(2, 3))
+    assert gamma(drep) == uniform(2, 3)
     assert drep.arc_count == uniform_rep(1, 3).arc_count
 
 
@@ -137,7 +137,7 @@ def test_swap_sequence_with_single_vertex_paths():
     out = swap_sequence(rep, routing)
     assert out.targets == frozenset({0})
     assert out.digraph.arcs == frozenset()
-    assert equals(gamma(out), gamma(rep))
+    assert gamma(out) == gamma(rep)
 
 
 def test_swap_sequence_single_arc():
@@ -146,7 +146,7 @@ def test_swap_sequence_single_arc():
     out = swap_sequence(rep, Routing(((0, 1),), frozenset({1})))
     assert out.targets == frozenset({0})
     assert out.digraph.arcs <= frozenset({(1, 0)})
-    assert equals(gamma(out), gamma(rep))
+    assert gamma(out) == gamma(rep)
 
 
 def test_swap_sequence_length_three_path_trace():
@@ -161,7 +161,7 @@ def test_swap_sequence_length_three_path_trace():
     out = swap_sequence(rep, Routing(((0, 1, 2),), frozenset({2})))
     assert out.digraph.arcs == step2.arcs
     assert out.targets == frozenset({0})
-    assert equals(gamma(out), gamma(rep))
+    assert gamma(out) == gamma(rep)
     assert oracle_bases(out) == oracle_bases(rep)
 
 
@@ -186,14 +186,13 @@ def test_swap_sequence_arc_count_never_grows():
     for _ in range(60):
         rep = random_representation(rng, 5)
         m = gamma(rep)
-        ids = sorted(rep.ground)
         base_mask = min(sorted(m.bases))
-        base = frozenset(ids[j] for j in range(len(ids)) if base_mask >> j & 1)
+        base = rep.ids_for(m.labels_of(base_mask))
         routing = max_routing(rep.digraph, base, rep.targets)
         out = swap_sequence(rep, routing)
         assert out.arc_count <= rep.arc_count
         assert out.targets == base
-        assert equals(gamma(out), m)
+        assert gamma(out) == m
 
 
 # -- rebase ----------------------------------------------------------------------
@@ -203,14 +202,14 @@ def test_rebase_to_current_targets_keeps_them():
     rep = uniform_rep(2, 3)
     out = rebase(rep, rep.targets)
     assert out.targets == rep.targets
-    assert equals(gamma(out), gamma(rep))
+    assert gamma(out) == gamma(rep)
 
 
 def test_rebase_uniform_to_other_base():
     rep = uniform_rep(1, 2)
     out = rebase(rep, frozenset({1}))
     assert out.targets == frozenset({1})
-    assert equals(gamma(out), gamma(rep))
+    assert gamma(out) == gamma(rep)
     assert oracle_bases(out) == oracle_bases(rep)
 
 
@@ -219,12 +218,11 @@ def test_rebase_every_base_preserves_gamma():
     for _ in range(40):
         rep = random_representation(rng, 5)
         m = gamma(rep)
-        ids = sorted(rep.ground)
         for mask in sorted(m.bases):
-            base = frozenset(ids[j] for j in range(len(ids)) if mask >> j & 1)
+            base = rep.ids_for(m.labels_of(mask))
             out = rebase(rep, base)
             assert out.targets == base
-            assert equals(gamma(out), m)
+            assert gamma(out) == m
             assert all(out.digraph.is_sink(b) for b in base)
 
 
@@ -255,7 +253,7 @@ def test_standardize_adds_ground_size_arcs():
     out = standardize(rep, frozenset({0}))
     assert out.arc_count == based.arc_count + 2
     assert is_standard(out)
-    assert equals(gamma(out), gamma(rep))
+    assert gamma(out) == gamma(rep)
 
 
 def test_standardize_keeps_ground_labels():
@@ -270,12 +268,11 @@ def test_standardize_random_small_reps():
     for _ in range(50):
         rep = random_representation(rng, 5)
         m = gamma(rep)
-        ids = sorted(rep.ground)
         mask = min(sorted(m.bases))
-        base = frozenset(ids[j] for j in range(len(ids)) if mask >> j & 1)
+        base = rep.ids_for(m.labels_of(mask))
         out = standardize(rep, base)
         assert is_standard(out)
-        assert equals(gamma(out), m)
+        assert gamma(out) == m
         assert oracle_bases(out) == m.bases_label_sets()
 
 
@@ -300,7 +297,7 @@ def test_restrict_representation_missing_target():
     out = restrict_representation(rep, frozenset({1, 2, 3}))  # drops target "1"
     assert is_standard(out)
     assert out.arc_count <= 4
-    assert equals(gamma(out), restrict(gamma(rep), ("2", "3", "4")))
+    assert gamma(out) == restrict(gamma(rep), ("2", "3", "4"))
 
 
 def test_restrict_representation_rejects_foreign_set():
@@ -316,20 +313,19 @@ def test_restrict_representation_rejects_foreign_set():
 
 def test_contract_representation_identity_and_uniform():
     rep = uniform_rep(2, 4)
-    assert equals(gamma(contract_representation(rep, rep.ground)), gamma(rep))
+    assert gamma(contract_representation(rep, rep.ground)) == gamma(rep)
     out = contract_representation(rep, frozenset({1, 2, 3}))
     assert is_standard(out)
-    assert equals(gamma(out), contract_to(gamma(rep), ("2", "3", "4")))
+    assert gamma(out) == contract_to(gamma(rep), ("2", "3", "4"))
 
 
 def test_surgery_never_gains_arcs():
     rng = random.Random(17)
     for _ in range(30):
         rep = random_representation(rng, 5)
-        ids = sorted(rep.ground)
         m = gamma(rep)
         mask = min(sorted(m.bases))
-        std = standardize(rep, frozenset(ids[j] for j in range(len(ids)) if mask >> j & 1))
+        std = standardize(rep, rep.ids_for(m.labels_of(mask)))
         sids = sorted(std.ground)
         for _ in range(4):
             xs = frozenset(v for v in sids if rng.random() < 0.6)
@@ -341,10 +337,9 @@ def test_standard_targets_form_a_base():
     rng = random.Random(23)
     for _ in range(40):
         rep = random_representation(rng, 5)
-        ids = sorted(rep.ground)
         m = gamma(rep)
         mask = min(sorted(m.bases))
-        std = standardize(rep, frozenset(ids[j] for j in range(len(ids)) if mask >> j & 1))
+        std = standardize(rep, rep.ids_for(m.labels_of(mask)))
         got = gamma(std)
         assert got.mask_of(std.target_labels()) in got.bases
 
