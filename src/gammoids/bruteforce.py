@@ -8,6 +8,7 @@ used to check, so these stay valid as independent cross-checks.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .digraph import Digraph
@@ -121,10 +122,6 @@ def brute_arc_complexity(ground_size: int, bases: Iterable[int]) -> int:
     allowed shape, comparing the represented matroid subset-by-subset with
     the path-family oracle.  No flow, no symmetry pruning, no degree or
     reachability filters; exponential, for cross-checking only."""
-    from itertools import combinations
-
-    from .digraph import Digraph
-
     bases = sorted(set(bases))
     indep = set()
     for b in bases:

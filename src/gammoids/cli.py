@@ -130,6 +130,7 @@ def cmd_transform(args) -> int:
 
     if args.op == "dualize":
         out = dual_representation(rep)
+        expect = matroid_dual
     elif args.op in ("standardize", "rebase"):
         if args.base:
             base = rep.ids_for(_labels_arg(args.base))
@@ -139,28 +140,22 @@ def cmd_transform(args) -> int:
             m = before if before is not None else gamma(rep, max_ground=args.limit)
             base = rep.ids_for(m.labels_of(min(m.bases)))
         out = standardize(rep, base) if args.op == "standardize" else rebase(rep, base)
+        expect = lambda m: m  # both keep the represented matroid
     elif args.op in ("restrict", "contract"):
         if subset_labels is None:
             raise InputError(f"{args.op} needs --subset")
         xs = rep.ids_for(subset_labels)
         if args.op == "restrict":
             out = restrict_representation(rep, xs)
+            expect = lambda m: matroid_restrict(m, subset_labels)
         else:
             out = contract_representation(rep, xs)
+            expect = lambda m: matroid_contract_to(m, subset_labels)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown transform {args.op!r}")
 
     if args.verify:
-        after = gamma(out, max_ground=args.limit)
-        if args.op == "dualize":
-            expected = matroid_dual(before)
-        elif args.op == "restrict":
-            expected = matroid_restrict(before, subset_labels)
-        elif args.op == "contract":
-            expected = matroid_contract_to(before, subset_labels)
-        else:
-            expected = before
-        if after != expected:
+        if gamma(out, max_ground=args.limit) != expect(before):
             _note("verification FAILED: transformed representation has the wrong matroid")
             return EXIT_VIOLATION
         _note("verified: transformed representation has the expected matroid")

@@ -43,10 +43,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
 from typing import Iterable
 
-from .digraph import Digraph
+from .digraph import Digraph, fresh_label
 from .matroid import (
     EnumerationLimitError,
     Matroid,
@@ -71,13 +70,11 @@ class SearchLimits:
     """Budgets for the arc-complexity search.  ``max_arcs`` caps the deepening
     level (default: the rank/size upper bound, which is always sufficient for
     a gammoid), ``max_internal`` caps internal vertices per level,
-    ``max_candidates`` caps the raw candidates generated per level, and
-    ``wall_secs`` is a total wall-clock budget.  A truncated search never
-    claims exhaustiveness."""
+    ``wall_secs`` is a total wall-clock budget, and ``workers`` is the number
+    of search processes.  A truncated search never claims exhaustiveness."""
 
     max_arcs: int | None = None
     max_internal: int | None = None
-    max_candidates: int | None = None
     wall_secs: float | None = None
     workers: int = 1
 
@@ -235,12 +232,10 @@ def uniform_rep(r: int, n: int) -> Representation:
     return Representation(Digraph(labels, arcs), frozenset(range(r)), frozenset(range(n)))
 
 
-def lower_bound(m: Matroid, base_labels: Iterable[str]) -> int:
-    """Arcs any standard representation with target base T needs: every
-    non-loop element outside T must reach the targets, so it has an out-arc
-    of its own."""
-    if m.mask_of(base_labels) not in m.bases:
-        raise ValueError("lower_bound needs a base as its target set")
+def lower_bound(m: Matroid) -> int:
+    """Arcs any standard representation needs: its targets form a base, and
+    every non-loop element outside that base must reach the targets, so it
+    has an out-arc of its own.  The count is the same for every base."""
     return len(m.ground) - len(m.loops()) - m.rank
 
 
@@ -266,12 +261,6 @@ def _circuit_ids(m: Matroid) -> list[tuple[int, ...]]:
 
 
 # -- the exhaustive search ------------------------------------------------------
-
-
-def _chunk_pair_count(g: int, rank: int, k: int) -> int:
-    """Number of allowed arcs for k internal vertices: tails are sources and
-    internals, heads are internals and targets, minus internal self-loops."""
-    return (g - rank + k) * (k + rank) - k
 
 
 def _search_chunk(args) -> tuple[tuple | None, int, bool]:
@@ -361,18 +350,6 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
     return None, count, True
 
 
-def _fresh_internal_labels(ground: tuple[str, ...], k: int) -> list[str]:
-    taken = set(ground)
-    labels = []
-    for j in range(k):
-        lab = f"i{j}"
-        while lab in taken:
-            lab += "'"
-        taken.add(lab)
-        labels.append(lab)
-    return labels
-
-
 def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> ComplexityCertificate:
     """Exhaustive iterative-deepening search for an arc-minimal standard
     representation of `m`.
@@ -390,7 +367,6 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     if g > 16:
         raise EnumerationLimitError(f"ground set has {g} elements, search limit is 16")
 
-    rank = m.rank
     bases_masks = sorted(m.bases)
     bases_ids = tuple(
         tuple(i for i in range(g) if b >> i & 1) for b in bases_masks
@@ -400,8 +376,8 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     loop_ids = tuple(i for i, lab in enumerate(m.ground) if lab in loops)
     nonloop_ids = tuple(i for i, lab in enumerate(m.ground) if lab not in loops)
 
-    lb = lower_bound(m, m.labels_of(bases_masks[0]))
-    cap = limits.max_arcs if limits.max_arcs is not None else kw_upper_bound(rank, g)
+    lb = lower_bound(m)
+    cap = limits.max_arcs if limits.max_arcs is not None else kw_upper_bound(m.rank, g)
     if cap < lb:
         raise BudgetExhaustedError(
             f"max_arcs={cap} is below the lower bound {lb}; nothing to search"
@@ -410,7 +386,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     level_stats: list[LevelStats] = []
     for a in range(lb, cap + 1):
         k_cap = a if limits.max_internal is None else min(a, limits.max_internal)
-        chunks = [
+        todo = [
             (g, t_mask, k, a, bases_ids, circuits_ids, nonloop_ids, loop_ids, deadline)
             for k in range(k_cap + 1)
             for t_mask in bases_masks
@@ -418,19 +394,6 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
         level_complete = k_cap == a
         candidates = 0
         found = None
-
-        # candidate budget enforced on predicted raw counts, so the chunk
-        # selection is the same no matter how many workers run
-        todo = []
-        predicted_total = 0
-        for chunk in chunks:
-            pair_count = _chunk_pair_count(g, rank, chunk[2])
-            predicted = comb(pair_count, a) if pair_count >= a else 0
-            if limits.max_candidates is not None and predicted_total + predicted > limits.max_candidates:
-                level_complete = False
-                break
-            predicted_total += predicted
-            todo.append(chunk)
 
         # chunks are consumed in submission order, so the first witness is
         # the same for every worker count; once it is found the pending
@@ -453,8 +416,9 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
 
         if found is not None:
             combo, t_mask, k = found
-            internal_labels = _fresh_internal_labels(m.ground, k)
-            dig = Digraph(m.ground + tuple(internal_labels), frozenset(combo))
+            taken = set(m.ground)
+            internal_labels = tuple(fresh_label(f"i{j}", taken) for j in range(k))
+            dig = Digraph(m.ground + internal_labels, frozenset(combo))
             targets = frozenset(i for i in range(g) if t_mask >> i & 1)
             witness = Representation(dig, targets, frozenset(range(g)))
             exhaustive = all(st.complete for st in level_stats[:-1])

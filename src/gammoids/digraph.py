@@ -100,6 +100,15 @@ class Digraph:
         return f"Digraph({self.vertex_count} vertices, arcs={arcs})"
 
 
+def fresh_label(label: str, taken: set[str]) -> str:
+    """`label` with primes appended until it is not in `taken`; the result
+    is added to `taken`, so repeated calls never hand out a label twice."""
+    while label in taken:
+        label += "'"
+    taken.add(label)
+    return label
+
+
 def opposite(d: Digraph) -> Digraph:
     """Reverse every arc; vertex set and labels are unchanged."""
     return Digraph(d.labels, frozenset((v, u) for u, v in d.arcs))

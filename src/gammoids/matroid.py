@@ -1,9 +1,11 @@
 """Explicit finite matroids stored by their bases.
 
-The ground set is an ordered tuple of element labels; bases are bit masks
-over ground positions.  Bit positions are an internal detail: equality,
-duality and the minor operations all speak labels, so representation surgery
-can rename or re-order vertices without disturbing element identity.
+The ground set is stored as a tuple of element labels in sorted order,
+whatever order the caller gave, and bases are bit masks over those
+positions.  So there is one stored form per labelled matroid: the generated
+equality and hash compare labels and labelled bases, every emitted ground
+list is in sorted label order, and representation surgery can rename or
+re-order vertices without disturbing element identity.
 
 Bases are the canonical stored form; independence is answered by a
 subset-of-some-base query.  This is compact and sufficient for the desk
@@ -13,7 +15,6 @@ scale this library targets (|E| <= 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, TYPE_CHECKING
 
@@ -29,25 +30,30 @@ class EnumerationLimitError(ValueError):
     """Ground set too large for explicit subset enumeration."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Matroid:
     ground: tuple[str, ...]
     bases: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "ground", tuple(self.ground))
-        object.__setattr__(self, "bases", frozenset(int(b) for b in self.bases))
-        if len(set(self.ground)) != len(self.ground):
+        ground = tuple(self.ground)
+        bases = frozenset(int(b) for b in self.bases)
+        if len(set(ground)) != len(ground):
             raise ValueError("ground set labels must be unique")
-        if not self.bases:
+        if not bases:
             raise ValueError("a matroid needs at least one base")
-        full = (1 << len(self.ground)) - 1
-        sizes = {b.bit_count() for b in self.bases}
-        for b in self.bases:
-            if b & ~full:
-                raise ValueError("base mask outside the ground set")
-        if len(sizes) != 1:
+        full = (1 << len(ground)) - 1
+        if any(b & ~full for b in bases):
+            raise ValueError("base mask outside the ground set")
+        if len({b.bit_count() for b in bases}) != 1:
             raise ValueError("bases must be equicardinal")
+        labels = tuple(sorted(ground))
+        if labels != ground:
+            # checked above on the input masks: the remap drops stray bits
+            weight = [1 << labels.index(lab) for lab in ground]
+            bases = frozenset(sum(w for i, w in enumerate(weight) if b >> i & 1) for b in bases)
+        object.__setattr__(self, "ground", labels)
+        object.__setattr__(self, "bases", bases)
 
     # -- queries ----------------------------------------------------------
 
@@ -92,25 +98,6 @@ class Matroid:
 
     def bases_label_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(self.labels_of(b) for b in self.bases)
-
-    @cached_property
-    def _canonical(self) -> tuple[tuple[str, ...], frozenset[int]]:
-        """Sorted labels and the bases as masks over that order: equal exactly
-        when the label sets and the labelled basis families are."""
-        labels = sorted(self.ground)
-        if labels == list(self.ground):
-            return self.ground, self.bases
-        weight = [1 << labels.index(lab) for lab in self.ground]
-        bases = frozenset(sum(w for i, w in enumerate(weight) if b >> i & 1) for b in self.bases)
-        return tuple(labels), bases
-
-    def __eq__(self, other):
-        if not isinstance(other, Matroid):
-            return NotImplemented
-        return self._canonical == other._canonical
-
-    def __hash__(self):
-        return hash(self._canonical)
 
     def __repr__(self):
         bases = sorted(sorted(self.labels_of(b)) for b in self.bases)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import Digraph, digraph_from_dict, digraph_to_dict, opposite, swap
+from .digraph import Digraph, digraph_from_dict, digraph_to_dict, fresh_label, opposite, swap
 from .matroid import dual, gamma
 from .routing import Routing, max_routing, validate_routing
 
@@ -199,13 +199,7 @@ def standardize(rep: Representation, base: Iterable[int]) -> Representation:
 
     labels = [d0.labels[i] for i in ground_ids]
     taken = set(labels)
-    primed_labels = []
-    for v in range(n0):
-        lab = d0.labels[v] + "'"
-        while lab in taken:
-            lab += "'"
-        taken.add(lab)
-        primed_labels.append(lab)
+    primed_labels = [fresh_label(lab + "'", taken) for lab in d0.labels]
 
     new_id = {v: i for i, v in enumerate(ground_ids)}
     primed = {v: len(ground_ids) + v for v in range(n0)}

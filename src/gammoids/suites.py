@@ -497,16 +497,24 @@ def bounds_suite(
     return SuiteResult("bounds", cases, failures, time.perf_counter() - t0)
 
 
-SUITE_NAMES = (
-    "swap-invariance",
-    "standardization",
-    "surgery",
-    "routing-oracle",
-    "arc-values",
-    "minor-complexity",
-    "closure",
-    "bounds",
-)
+# One entry per suite, in run order; each takes run_suite's keyword
+# arguments.  The lambdas look their suite up when called, so rebinding a
+# suite function in this module (as a tracer does) reaches run_suite too.
+_SUITE_CALLS = {
+    "swap-invariance": lambda max_vertices, **_: swap_invariance_suite(max_vertices or 4),
+    "standardization": lambda count, max_vertices, seed, **_: standardization_suite(
+        count, max_vertices or 6, seed
+    ),
+    "surgery": lambda count, max_vertices, seed, **_: surgery_suite(count, max_vertices or 6, seed),
+    "routing-oracle": lambda instances, max_vertices, seed, **_: routing_oracle_suite(
+        instances, max_vertices or 6, seed
+    ),
+    "arc-values": lambda limits, **_: arc_values_suite(limits),
+    "minor-complexity": lambda max_ground, limits, **_: minor_complexity_suite(max_ground, limits),
+    "closure": lambda limits, **_: closure_suite(limits),
+    "bounds": lambda limits, **_: bounds_suite(limits=limits),
+}
+SUITE_NAMES = tuple(_SUITE_CALLS)
 
 
 def run_suite(
@@ -521,35 +529,15 @@ def run_suite(
 ) -> list[SuiteResult]:
     """Run one named suite (or "all"); sizes default to the acceptance-grade
     parameters."""
-    if name == "all":
-        out = []
-        for entry in SUITE_NAMES:
-            out.extend(
-                run_suite(
-                    entry,
-                    seed=seed,
-                    count=count,
-                    instances=instances,
-                    max_vertices=max_vertices,
-                    max_ground=max_ground,
-                    limits=limits,
-                )
-            )
-        return out
-    if name == "swap-invariance":
-        return [swap_invariance_suite(max_vertices or 4)]
-    if name == "standardization":
-        return [standardization_suite(count, max_vertices or 6, seed)]
-    if name == "surgery":
-        return [surgery_suite(count, max_vertices or 6, seed)]
-    if name == "routing-oracle":
-        return [routing_oracle_suite(instances, max_vertices or 6, seed)]
-    if name == "arc-values":
-        return [arc_values_suite(limits)]
-    if name == "minor-complexity":
-        return [minor_complexity_suite(max_ground, limits)]
-    if name == "closure":
-        return [closure_suite(limits)]
-    if name == "bounds":
-        return [bounds_suite(limits=limits)]
-    raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}, all")
+    if name != "all" and name not in _SUITE_CALLS:
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}, all")
+    options = dict(
+        seed=seed,
+        count=count,
+        instances=instances,
+        max_vertices=max_vertices,
+        max_ground=max_ground,
+        limits=limits,
+    )
+    names = SUITE_NAMES if name == "all" else (name,)
+    return [_SUITE_CALLS[entry](**options) for entry in names]

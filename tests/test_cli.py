@@ -121,6 +121,16 @@ def test_fwidth_command(matroid_file, capsys):
     assert blob["value"] == "1/2"
 
 
+def test_fwidth_output_does_not_depend_on_ground_order(tmp_path, capsys):
+    outputs = []
+    for ground in (["c", "a", "b"], ["a", "b", "c"]):
+        path = tmp_path / f"{''.join(ground)}.json"
+        path.write_text(json.dumps({"ground": ground, "bases": [["c", "a"], ["c", "b"]]}))
+        assert main(["fwidth", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_in_class_command(matroid_file, capsys):
     assert main(["in-class", matroid_file, "--q", "1/2"]) == 0
     assert json.loads(capsys.readouterr().out)["member"] is True

@@ -45,6 +45,8 @@ def test_construction_guards():
         Matroid(("a", "b"), frozenset({0b01, 0b11}))  # not equicardinal
     with pytest.raises(ValueError):
         Matroid(("a",), frozenset({0b10}))  # outside ground
+    with pytest.raises(ValueError):
+        Matroid(("b", "a"), frozenset({0b100}))  # outside ground, unsorted labels
 
 
 def test_independence_and_loops():
@@ -112,6 +114,7 @@ def test_equality_is_label_based():
     m = Matroid.from_label_sets(("a", "b"), [("a",)])
     n = Matroid.from_label_sets(("b", "a"), [("a",)])
     assert m == n and hash(m) == hash(n)
+    assert n.ground == ("a", "b")
     assert uniform(1, 2) != uniform(2, 2)
 
 
