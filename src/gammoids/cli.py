@@ -23,7 +23,7 @@ from .complexity import (
     in_class,
     width_report_to_dict,
 )
-from .matroid import gamma, matroid_from_dict, matroid_to_dict, uniform
+from .matroid import DEFAULT_ENUMERATION_LIMIT, gamma, matroid_from_dict, matroid_to_dict, uniform
 from .matroid import contract_to as matroid_contract_to
 from .matroid import dual as matroid_dual
 from .matroid import restrict as matroid_restrict
@@ -282,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a representation file to its matroid")
     p.add_argument("rep", help="representation JSON file")
-    p.add_argument("--limit", type=int, default=16, help="ground set enumeration limit")
+    p.add_argument(
+        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="ground set enumeration limit"
+    )
     p.add_argument("--verify", action="store_true", help="validate the matroid axioms")
     _add_output_flag(p)
     p.set_defaults(func=cmd_eval)
@@ -292,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["standardize", "dualize", "rebase", "restrict", "contract"])
     p.add_argument("--base", help="comma-separated base labels (standardize, rebase)")
     p.add_argument("--subset", help="comma-separated ground labels (restrict, contract)")
-    p.add_argument("--limit", type=int, default=16, help="ground set enumeration limit")
+    p.add_argument(
+        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="ground set enumeration limit"
+    )
     p.add_argument("--verify", action="store_true",
                    help="re-evaluate both sides and confirm the matroid relation")
     _add_output_flag(p)

@@ -47,10 +47,10 @@ from typing import Iterable
 
 from .digraph import Digraph, fresh_label
 from .matroid import (
+    DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
     Matroid,
-    contract_to,
-    restrict,
+    nested_minors,
     uniform,
 )
 from .representation import Representation, rep_to_dict
@@ -364,8 +364,10 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     t0 = time.perf_counter()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
     g = len(m.ground)
-    if g > 16:
-        raise EnumerationLimitError(f"ground set has {g} elements, search limit is 16")
+    if g > DEFAULT_ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"ground set has {g} elements, search limit is {DEFAULT_ENUMERATION_LIMIT}"
+        )
 
     bases_masks = sorted(m.bases)
     bases_ids = tuple(
@@ -467,8 +469,7 @@ def f_width(
     `f` is validated super-additive on 1..2|E| first.  `arc_cache` may be
     shared across calls to reuse inner search results.
     """
-    g = len(m.ground)
-    if not is_superadditive(f, max(2 * g, 2)):
+    if not is_superadditive(f, max(2 * len(m.ground), 2)):
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
@@ -478,46 +479,23 @@ def f_width(
     best_arg: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     entries: list[MinorEntry] = []
     exhaustive = True
-    for y_mask in range(1 << g):
-        y_labels = tuple(sorted(m.labels_of(y_mask)))
-        contracted = contract_to(m, y_labels)
-        x_mask = y_mask
-        x_masks = []
-        while True:
-            x_masks.append(x_mask)
-            if x_mask == 0:
-                break
-            x_mask = (x_mask - 1) & y_mask
-        for x_mask in sorted(x_masks):
-            x_labels = tuple(sorted(m.labels_of(x_mask)))
-            minor = restrict(contracted, x_labels)
-            cached = cache.get(minor)
-            if cached is not None:
-                value, cert_exhaustive = cached
-            else:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        entries.append(MinorEntry(x_labels, y_labels, None, False, None))
-                        exhaustive = False
-                        continue
-                inner = replace(limits, wall_secs=remaining)
-                try:
-                    cert = arc_complexity(minor, inner)
-                    value, cert_exhaustive = cert.value, cert.search_exhaustive
-                except BudgetExhaustedError:
-                    value, cert_exhaustive = None, False
-                cache[minor] = (value, cert_exhaustive)
-            if value is None or not cert_exhaustive:
-                entries.append(MinorEntry(x_labels, y_labels, value, False, None))
-                exhaustive = False
-                continue
-            ratio = Fraction(value, f(x_mask.bit_count()))
-            entries.append(MinorEntry(x_labels, y_labels, value, True, ratio))
-            if ratio > best:
-                best = ratio
-                best_arg = (x_labels, y_labels)
+    for x_labels, y_labels, minor in nested_minors(m):
+        cached = cache.get(minor)
+        remaining = None if deadline is None else deadline - time.monotonic()
+        if cached is None and (remaining is None or remaining > 0):
+            try:
+                cert = arc_complexity(minor, replace(limits, wall_secs=remaining))
+                cached = cert.value, cert.search_exhaustive
+            except BudgetExhaustedError:
+                cached = None, False
+            cache[minor] = cached
+        value, certified = cached or (None, False)  # out of time: not searched, not cached
+        ratio = Fraction(value, f(len(x_labels))) if certified else None
+        entries.append(MinorEntry(x_labels, y_labels, value, certified, ratio))
+        exhaustive &= certified
+        if ratio is not None and ratio > best:
+            best = ratio
+            best_arg = (x_labels, y_labels)
     return WidthReport(value=best, argmax=best_arg, table=tuple(entries), exhaustive=exhaustive)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Iterator, TYPE_CHECKING
 
 from .routing import _routable_ids
 
@@ -166,25 +166,44 @@ def dual(m: Matroid) -> Matroid:
     return Matroid(m.ground, frozenset(full & ~b for b in m.bases))
 
 
+def _project(m: Matroid, keep: int, by: int) -> Matroid:
+    """The bases of `m` that meet the positions in `by` in the most elements,
+    cut down to the positions in `keep`."""
+    rank_by = m.rank_of_mask(by)
+    kept = [i for i in range(len(m.ground)) if keep >> i & 1]
+    bases = frozenset(
+        sum(1 << j for j, i in enumerate(kept) if b >> i & 1)
+        for b in m.bases
+        if (b & by).bit_count() == rank_by
+    )
+    return Matroid(tuple(m.ground[i] for i in kept), bases)
+
+
 def restrict(m: Matroid, labels: Iterable[str]) -> Matroid:
     """Restriction to `labels`: independent sets are the independent subsets."""
-    labels = frozenset(labels)
     mask = m.mask_of(labels)
-    rank_x = m.rank_of_mask(mask)
-    new_ground = tuple(lab for lab in m.ground if lab in labels)
-    pos = {lab: i for i, lab in enumerate(new_ground)}
-    new_bases = set()
-    for b in m.bases:
-        inter = b & mask
-        if inter.bit_count() == rank_x:
-            new_bases.add(sum(1 << pos[lab] for lab in m.labels_of(inter)))
-    return Matroid(new_ground, frozenset(new_bases))
+    return _project(m, mask, mask)
 
 
 def contract_to(m: Matroid, labels: Iterable[str]) -> Matroid:
-    """Contraction of m to `labels` (the complement is contracted away),
-    computed as dual(restrict(dual(m), labels))."""
-    return dual(restrict(dual(m), labels))
+    """Contraction of m to `labels`, computed directly: the bases are B - C
+    for the bases B of m that meet the complement C of `labels` in r(C)
+    elements.  This equals ``dual(restrict(dual(m), labels))``."""
+    mask = m.mask_of(labels)
+    return _project(m, mask, m.full_mask & ~mask)
+
+
+def nested_minors(m: Matroid) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], Matroid]]:
+    """Every minor of m: for each X within Y within the ground, yield
+    ``(x_labels, y_labels, restrict(contract_to(m, Y), X))`` with the labels
+    as sorted tuples, Y and then X in ascending mask order."""
+    for y in range(1 << len(m.ground)):
+        y_labels = tuple(sorted(m.labels_of(y)))
+        contracted = contract_to(m, y_labels)
+        for x in range(y + 1):
+            if x & ~y == 0:
+                x_labels = tuple(sorted(m.labels_of(x)))
+                yield x_labels, y_labels, restrict(contracted, x_labels)
 
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:
@@ -218,42 +237,30 @@ def gamma(
     """Materialize the matroid represented by ``(digraph, targets, ground)``:
     a set is independent iff it routes into the targets.
 
-    Subsets are enumerated in rank-bounded order: level k+1 candidates are
-    one-element extensions of independent k-sets all of whose k-subsets are
-    independent, so the enumeration stops at the rank.  The ground set is
-    capped at `max_ground` elements.
+    Subsets are bit masks over the ascending ground ids, enumerated in
+    rank-bounded order: level k+1 candidates extend independent k-sets above
+    their top bit and have only independent k-subsets, so the enumeration
+    stops at the rank.  The ground set is capped at `max_ground` elements.
     """
     ids = sorted(rep.ground)
-    if len(ids) > max_ground:
-        raise EnumerationLimitError(
-            f"ground set has {len(ids)} elements, enumeration limit is {max_ground}"
-        )
-    d = rep.digraph
-    succ = d.successors
+    g = len(ids)
+    if g > max_ground:
+        raise EnumerationLimitError(f"ground set has {g} elements, enumeration limit is {max_ground}")
+    succ = rep.digraph.successors
     tset = set(rep.targets)
 
-    prev: set[frozenset[int]] = {frozenset()}
-    levels = [prev]
-    while True:
-        nxt: set[frozenset[int]] = set()
-        for indep in prev:
-            top = max(indep) if indep else -1
-            for e in ids:
-                if e <= top:
+    level, nxt = set(), {0}
+    while nxt:  # the last non-empty level holds the bases
+        level, nxt = nxt, set()
+        for s in level:
+            for j in range(s.bit_length(), g):
+                cand = s | 1 << j
+                if not all(cand ^ 1 << i in level for i in range(j) if s >> i & 1):
                     continue
-                cand = indep | {e}
-                if all(cand - {x} in prev for x in cand):
-                    if _routable_ids(succ, tset, cand):
-                        nxt.add(cand)
-        if not nxt:
-            break
-        levels.append(nxt)
-        prev = nxt
+                if _routable_ids(succ, tset, [ids[i] for i in range(g) if cand >> i & 1]):
+                    nxt.add(cand)
 
-    ground = tuple(d.labels[i] for i in ids)
-    pos = {v: i for i, v in enumerate(ids)}
-    bases = frozenset(sum(1 << pos[v] for v in b) for b in levels[-1])
-    result = Matroid(ground, bases)
+    result = Matroid(tuple(rep.digraph.labels[i] for i in ids), frozenset(level))
     if validate:
         validate_matroid(result)
     return result

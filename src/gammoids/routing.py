@@ -53,9 +53,6 @@ class Routing:
     def ends(self) -> frozenset[int]:
         return frozenset(p[-1] for p in self.paths)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for p in self.paths for v in p)
-
 
 def validate_routing(d: Digraph, routing: Routing) -> None:
     """Raise ValueError unless `routing` satisfies every routing invariant in `d`."""
@@ -87,13 +84,13 @@ def _link(
     targets: Iterable[int],
     sources: Iterable[int],
     early_abort: bool = False,
-) -> tuple[list[int], dict[int, int]]:
+) -> tuple[list[int], list[set[int]]]:
     """Core flow routine on raw adjacency lists.
 
-    Returns ``(routed, flow_out)`` where `routed` lists the sources that got
-    a path (ascending) and `flow_out[v]` is the successor of v on its flow
-    path.  With `early_abort`, gives up as soon as one source fails, which is
-    enough for independence tests.
+    Returns ``(routed, res)``: the sources that got a path (ascending) and
+    the residual graph on ``v_in = v``, ``v_out = n + v``; a flow path leaves
+    v by the one successor missing from ``res[n + v]`` (which holds v).  With
+    `early_abort`, gives up once a source fails, enough for independence tests.
     """
     n = len(succ)
     snk = 2 * n  # node ids: v_in = v, v_out = n + v
@@ -123,7 +120,7 @@ def _link(
                     queue.append(b)
         if not found:
             if early_abort:
-                return routed, {}
+                return routed, res
             continue
         node = snk
         while node != x:
@@ -132,15 +129,7 @@ def _link(
             res[node].add(prev)
             node = prev
         routed.append(x)
-
-    flow_out: dict[int, int] = {}
-    for v in range(n):
-        if n + v not in res[v]:  # v's capacity is used
-            for w in succ[v]:
-                if w != v and w not in res[n + v]:
-                    flow_out[v] = w
-                    break
-    return routed, flow_out
+    return routed, res
 
 
 def _routable_ids(succ: Sequence[Sequence[int]], targets: Iterable[int], xs: Iterable[int]) -> bool:
@@ -162,13 +151,13 @@ def max_routing(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> R
     for v in src + sorted(tset):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside the digraph")
-    routed, flow_out = _link(d.successors, tset, src)
+    routed, res = _link(d.successors, tset, src)
     paths = []
     for x in routed:
         path = [x]
         v = x
         while v not in tset:
-            v = flow_out[v]
+            v = next(w for w in d.successors[v] if w not in res[n + v])
             path.append(v)
         paths.append(tuple(path))
     return Routing(tuple(sorted(paths)), frozenset(tset))

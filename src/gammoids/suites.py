@@ -34,6 +34,7 @@ from .matroid import (
     direct_sum,
     dual,
     gamma,
+    nested_minors,
     relabel,
     restrict,
     uniform,
@@ -113,8 +114,10 @@ def all_matroids(labels: tuple[str, ...]):
 
 # -- suites -------------------------------------------------------------------
 
+_SAMPLE_EVERY = 2048
 
-def swap_invariance_suite(max_vertices: int = 4, sample_every: int = 2048) -> SuiteResult:
+
+def swap_invariance_suite(max_vertices: int = 4) -> SuiteResult:
     """Exhaustive swap invariance: for every digraph (loops included) up to
     the vertex bound, every arc (r, s) and every target set with s inside and
     r outside, rewiring the arc and exchanging s for r in the targets leaves
@@ -124,7 +127,7 @@ def swap_invariance_suite(max_vertices: int = 4, sample_every: int = 2048) -> Su
     independence of X in (D, T, E) only asks whether X routes to T, so two
     triples agree for every E iff they agree for E = V.  Full-ground results
     are memoized on the loop-stripped digraph, which is exactly the
-    normalization the routing engine itself applies; every `sample_every`-th
+    normalization the routing engine itself applies; every `_SAMPLE_EVERY`-th
     case additionally re-compares all ground sets directly."""
     t0 = time.perf_counter()
     failures: list[str] = []
@@ -169,7 +172,7 @@ def swap_invariance_suite(max_vertices: int = 4, sample_every: int = 2048) -> Su
                             failures,
                             f"swap mismatch: n={n} arcs={plain} swap=({r},{s}) targets_mask={t_mask}",
                         )
-                    elif cases % sample_every == 0:
+                    elif cases % _SAMPLE_EVERY == 0:
                         tset = frozenset(i for i in range(n) if t_mask >> i & 1)
                         t2set = frozenset(i for i in range(n) if t2_mask >> i & 1)
                         for e_bits in range(1 << n):
@@ -425,23 +428,14 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
         cases += 1
         if dual_report.value != base_value:
             _clip(failures, f"{m!r}: width of the dual differs")
-        for y_bits in range(m.full_mask + 1):
-            y_labels = m.labels_of(y_bits)
-            contracted = contract_to(m, y_labels)
-            x_bits = y_bits
-            while True:
-                x_labels = m.labels_of(x_bits)
-                minor = restrict(contracted, x_labels)
-                minor_report = f_width(minor, fhat, limits, arc_cache=cache)
-                cases += 1
-                if minor_report.value > base_value:
-                    _clip(
-                        failures,
-                        f"{m!r}: minor X={sorted(x_labels)} Y={sorted(y_labels)} has larger width",
-                    )
-                if x_bits == 0:
-                    break
-                x_bits = (x_bits - 1) & y_bits
+        for x_labels, y_labels, minor in nested_minors(m):
+            minor_report = f_width(minor, fhat, limits, arc_cache=cache)
+            cases += 1
+            if minor_report.value > base_value:
+                _clip(
+                    failures,
+                    f"{m!r}: minor X={list(x_labels)} Y={list(y_labels)} has larger width",
+                )
 
     pairs = [
         (uniform(1, 2), uniform(1, 1)),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gammoids.bruteforce import brute_contract_bases, brute_restrict_bases
+from gammoids.bruteforce import brute_contract_bases, brute_gamma_bases, brute_restrict_bases
 from gammoids.digraph import Digraph
 from gammoids.matroid import (
     EnumerationLimitError,
@@ -14,6 +14,7 @@ from gammoids.matroid import (
     gamma,
     matroid_from_dict,
     matroid_to_dict,
+    nested_minors,
     relabel,
     restrict,
     uniform,
@@ -90,6 +91,33 @@ def test_contract_examples():
     assert bases(contract_to(free, ("1", "3"))) == {("1", "3")}
 
 
+def test_contract_to_is_dual_of_restricted_dual():
+    for size in range(5):
+        for m in all_matroids(tuple("abcd"[:size])):
+            for x in range(m.full_mask + 1):
+                labels = m.labels_of(x)
+                assert contract_to(m, labels) == dual(restrict(dual(m), labels))
+
+
+def test_nested_minors_walk_y_then_x_in_ascending_mask_order():
+    m = uniform(1, 2)
+    pairs = [(x, y) for x, y, _ in nested_minors(m)]
+    assert pairs == [
+        ((), ()),
+        ((), ("1",)),
+        (("1",), ("1",)),
+        ((), ("2",)),
+        (("2",), ("2",)),
+        ((), ("1", "2")),
+        (("1",), ("1", "2")),
+        (("2",), ("1", "2")),
+        (("1", "2"), ("1", "2")),
+    ]
+    for x, y, minor in nested_minors(m):
+        assert minor == restrict(contract_to(m, y), x)
+    assert sum(1 for _ in nested_minors(uniform(2, 4))) == 81
+
+
 def test_direct_sum():
     m = uniform(1, 1)
     n = relabel(uniform(1, 1), {"1": "2"})
@@ -150,6 +178,14 @@ def test_gamma_validates_when_asked():
     from gammoids.complexity import uniform_rep
 
     gamma(uniform_rep(2, 3), validate=True)
+
+
+def test_gamma_matches_path_family_oracle():
+    rng = random.Random(21)
+    for _ in range(200):
+        rep = random_representation(rng, 6)
+        oracle = brute_gamma_bases(rep.digraph, rep.targets, rep.ground)
+        assert gamma(rep).bases_label_sets() == {rep.digraph.label_set(b) for b in oracle}
 
 
 def test_gamma_enumeration_limit():
