@@ -23,7 +23,7 @@ from .complexity import (
     in_class,
     width_report_to_dict,
 )
-from .matroid import DEFAULT_ENUMERATION_LIMIT, gamma, matroid_from_dict, matroid_to_dict, uniform
+from .matroid import gamma, matroid_from_dict, matroid_to_dict, uniform, validate_matroid
 from .matroid import contract_to as matroid_contract_to
 from .matroid import dual as matroid_dual
 from .matroid import restrict as matroid_restrict
@@ -117,7 +117,9 @@ def _labels_arg(value: str) -> list[str]:
 
 def cmd_eval(args) -> int:
     rep = _load_rep(args.rep)
-    m = gamma(rep, max_ground=args.limit, validate=args.verify)
+    m = gamma(rep)
+    if args.verify:
+        validate_matroid(m)
     _emit(matroid_to_dict(m), args.output)
     _note(f"ground: {len(m.ground)} elements, rank {m.rank}, {len(m.bases)} bases")
     return EXIT_OK
@@ -125,7 +127,7 @@ def cmd_eval(args) -> int:
 
 def cmd_transform(args) -> int:
     rep = _load_rep(args.rep)
-    before = gamma(rep, max_ground=args.limit) if args.verify else None
+    before = gamma(rep) if args.verify else None
     subset_labels = _labels_arg(args.subset) if args.subset else None
 
     if args.op == "dualize":
@@ -137,7 +139,7 @@ def cmd_transform(args) -> int:
         else:
             if args.op == "rebase":
                 raise InputError("rebase needs --base")
-            m = before if before is not None else gamma(rep, max_ground=args.limit)
+            m = before if before is not None else gamma(rep)
             base = rep.ids_for(m.labels_of(min(m.bases)))
         out = standardize(rep, base) if args.op == "standardize" else rebase(rep, base)
         expect = lambda m: m  # both keep the represented matroid
@@ -155,7 +157,7 @@ def cmd_transform(args) -> int:
         raise InputError(f"unknown transform {args.op!r}")
 
     if args.verify:
-        if gamma(out, max_ground=args.limit) != expect(before):
+        if gamma(out) != expect(before):
             _note("verification FAILED: transformed representation has the wrong matroid")
             return EXIT_VIOLATION
         _note("verified: transformed representation has the expected matroid")
@@ -190,7 +192,10 @@ def cmd_fwidth(args) -> int:
 def cmd_in_class(args) -> int:
     m = _load_matroid(args.matroid)
     f = _parse_f(args.f)
-    q = Fraction(args.q)
+    try:
+        q = Fraction(args.q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"--q {args.q!r} is not a rational number") from exc
     member = in_class(m, f, q, _limits(args))
     _emit({"member": member, "q": str(q), "f": f.describe()}, args.output)
     _note(f"membership: {member}")
@@ -229,9 +234,7 @@ def cmd_check(args) -> int:
         args.suite,
         seed=args.seed,
         count=args.count,
-        instances=args.instances,
         max_vertices=args.max_vertices,
-        max_ground=args.max_ground,
         limits=_limits(args),
     )
     for res in results:
@@ -282,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a representation file to its matroid")
     p.add_argument("rep", help="representation JSON file")
-    p.add_argument(
-        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="ground set enumeration limit"
-    )
     p.add_argument("--verify", action="store_true", help="validate the matroid axioms")
     _add_output_flag(p)
     p.set_defaults(func=cmd_eval)
@@ -294,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["standardize", "dualize", "rebase", "restrict", "contract"])
     p.add_argument("--base", help="comma-separated base labels (standardize, rebase)")
     p.add_argument("--subset", help="comma-separated ground labels (restrict, contract)")
-    p.add_argument(
-        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="ground set enumeration limit"
-    )
     p.add_argument("--verify", action="store_true",
                    help="re-evaluate both sides and confirm the matroid relation")
     _add_output_flag(p)
@@ -334,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--count", type=int, default=500, help="random representations to draw")
-    p.add_argument("--instances", type=int, default=1000, help="routing-oracle instances")
     p.add_argument("--max-vertices", type=int, default=None)
-    p.add_argument("--max-ground", type=int, default=4)
     _add_limit_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_check)

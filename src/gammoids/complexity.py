@@ -46,13 +46,7 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 from .digraph import Digraph, fresh_label
-from .matroid import (
-    DEFAULT_ENUMERATION_LIMIT,
-    EnumerationLimitError,
-    Matroid,
-    nested_minors,
-    uniform,
-)
+from .matroid import Matroid, check_enumeration_limit, nested_minors, uniform
 from .representation import Representation, rep_to_dict
 from .routing import _routable_ids
 
@@ -71,7 +65,9 @@ class SearchLimits:
     level (default: the rank/size upper bound, which is always sufficient for
     a gammoid), ``max_internal`` caps internal vertices per level,
     ``wall_secs`` is a total wall-clock budget, and ``workers`` is the number
-    of search processes.  A truncated search never claims exhaustiveness."""
+    of search processes for the levels big enough to pay for them (see
+    ``_POOL_MIN_CANDIDATES``).  A truncated search never claims
+    exhaustiveness."""
 
     max_arcs: int | None = None
     max_internal: int | None = None
@@ -156,7 +152,10 @@ class SuperAdditiveFn:
         if spec == "fhat":
             return cls.fhat()
         if spec.startswith("linear:"):
-            return cls.linear(Fraction(spec.split(":", 1)[1]))
+            try:
+                return cls.linear(Fraction(spec.split(":", 1)[1]))
+            except ZeroDivisionError as exc:
+                raise ValueError(f"function spec {spec!r} divides by zero") from exc
         raise ValueError(f"unknown function spec {spec!r} (expected fhat or linear:<c>)")
 
     def __call__(self, x: int) -> int:
@@ -262,6 +261,15 @@ def _circuit_ids(m: Matroid) -> list[tuple[int, ...]]:
 
 # -- the exhaustive search ------------------------------------------------------
 
+# A level runs on a process pool only if the level before it enumerated at
+# least this many raw candidates.  Starting and stopping a two-worker pool
+# takes about 10 ms (2-core x86 Linux, fork), in which the serial loop covers
+# about 20k candidates (1.4-2.4M per second on 5- and 6-element inputs); two
+# workers save at most half a level, so a level pays for its pool from about
+# 40k.  Levels grow with the arc count until the witness level, so the count
+# the search already has for the previous level is a deterministic estimate.
+_POOL_MIN_CANDIDATES = 40_000
+
 
 def _search_chunk(args) -> tuple[tuple | None, int, bool]:
     """Enumerate the candidates of one (level, target base, internal count)
@@ -364,10 +372,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     t0 = time.perf_counter()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
     g = len(m.ground)
-    if g > DEFAULT_ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"ground set has {g} elements, search limit is {DEFAULT_ENUMERATION_LIMIT}"
-        )
+    check_enumeration_limit(g)
 
     bases_masks = sorted(m.bases)
     bases_ids = tuple(
@@ -400,7 +405,8 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
         # chunks are consumed in submission order, so the first witness is
         # the same for every worker count; once it is found the pending
         # chunks are cancelled
-        parallel = limits.workers > 1 and len(todo) > 1
+        previous = level_stats[-1].candidates if level_stats else 0
+        parallel = limits.workers > 1 and len(todo) > 1 and previous >= _POOL_MIN_CANDIDATES
         if parallel:
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(limits.workers) if parallel else nullcontext() as pool:
@@ -469,6 +475,7 @@ def f_width(
     `f` is validated super-additive on 1..2|E| first.  `arc_cache` may be
     shared across calls to reuse inner search results.
     """
+    check_enumeration_limit(len(m.ground))
     if not is_superadditive(f, max(2 * len(m.ground), 2)):
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
@@ -504,14 +511,12 @@ def in_class(
     f: SuperAdditiveFn,
     q: Fraction,
     limits: SearchLimits | None = None,
-    *,
-    arc_cache: dict | None = None,
 ) -> bool:
     """Exact membership test for the bounded-width class: width of `m` at most
     `q`.  A truncated width can still certify non-membership (the computed
     value is a lower bound); certifying membership needs the full width."""
     q = Fraction(q)
-    report = f_width(m, f, limits, arc_cache=arc_cache)
+    report = f_width(m, f, limits)
     if report.exhaustive:
         return report.value <= q
     if report.value > q:
@@ -537,8 +542,8 @@ def certificate_to_dict(cert: ComplexityCertificate) -> dict:
     }
 
 
-def width_report_to_dict(report: WidthReport, f: SuperAdditiveFn | None = None) -> dict:
-    out = {
+def width_report_to_dict(report: WidthReport, f: SuperAdditiveFn) -> dict:
+    return {
         "value": str(report.value),
         "exhaustive": report.exhaustive,
         "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
@@ -552,7 +557,5 @@ def width_report_to_dict(report: WidthReport, f: SuperAdditiveFn | None = None) 
             }
             for e in report.table
         ],
+        "f": f.describe(),
     }
-    if f is not None:
-        out["f"] = f.describe()
-    return out

@@ -160,13 +160,15 @@ def digraph_from_dict(obj: dict) -> Digraph:
     arcs = obj.get("arcs", [])
     if not isinstance(vertices, list) or not all(isinstance(x, str) for x in vertices):
         raise ValueError('digraph field "vertices" must be a list of strings')
+    if not isinstance(arcs, list):
+        raise ValueError('digraph field "arcs" must be a list of [tail, head] pairs')
     labels = tuple(vertices)
     if len(set(labels)) != len(labels):
         raise ValueError("digraph vertex labels must be unique")
     idx = {lab: i for i, lab in enumerate(labels)}
     arc_set = set()
     for entry in arcs:
-        if not (isinstance(entry, list) and len(entry) == 2):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
             raise ValueError(f'digraph field "arcs" entries must be [tail, head] pairs, got {entry!r}')
         u, v = entry
         if u not in idx or v not in idx:

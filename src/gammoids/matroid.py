@@ -23,11 +23,20 @@ from .routing import _routable_ids
 if TYPE_CHECKING:  # pragma: no cover
     from .representation import Representation
 
-DEFAULT_ENUMERATION_LIMIT = 16
+ENUMERATION_LIMIT = 16
 
 
 class EnumerationLimitError(ValueError):
     """Ground set too large for explicit subset enumeration."""
+
+
+def check_enumeration_limit(size: int) -> None:
+    """Raise :class:`EnumerationLimitError` for a ground set of more than
+    `ENUMERATION_LIMIT` elements, before anything enumerates its subsets."""
+    if size > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"ground set has {size} elements, enumeration limit is {ENUMERATION_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -228,24 +237,18 @@ def relabel(m: Matroid, mapping: dict[str, str]) -> Matroid:
 # -- from representations ---------------------------------------------------
 
 
-def gamma(
-    rep: "Representation",
-    *,
-    max_ground: int = DEFAULT_ENUMERATION_LIMIT,
-    validate: bool = False,
-) -> Matroid:
+def gamma(rep: "Representation") -> Matroid:
     """Materialize the matroid represented by ``(digraph, targets, ground)``:
     a set is independent iff it routes into the targets.
 
     Subsets are bit masks over the ascending ground ids, enumerated in
     rank-bounded order: level k+1 candidates extend independent k-sets above
     their top bit and have only independent k-subsets, so the enumeration
-    stops at the rank.  The ground set is capped at `max_ground` elements.
+    stops at the rank.
     """
     ids = sorted(rep.ground)
     g = len(ids)
-    if g > max_ground:
-        raise EnumerationLimitError(f"ground set has {g} elements, enumeration limit is {max_ground}")
+    check_enumeration_limit(g)
     succ = rep.digraph.successors
     tset = set(rep.targets)
 
@@ -260,10 +263,7 @@ def gamma(
                 if _routable_ids(succ, tset, [ids[i] for i in range(g) if cand >> i & 1]):
                     nxt.add(cand)
 
-    result = Matroid(tuple(rep.digraph.labels[i] for i in ids), frozenset(level))
-    if validate:
-        validate_matroid(result)
-    return result
+    return Matroid(tuple(rep.digraph.labels[i] for i in ids), frozenset(level))
 
 
 # -- JSON -------------------------------------------------------------------
@@ -284,8 +284,11 @@ def matroid_from_dict(obj: dict) -> Matroid:
     bases = obj.get("bases")
     if not isinstance(ground, list) or not all(isinstance(x, str) for x in ground):
         raise ValueError('matroid field "ground" must be a list of strings')
-    if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
-        raise ValueError('matroid field "bases" must be a list of lists')
+    if not isinstance(bases, list) or not all(
+        isinstance(b, list) and all(isinstance(x, str) for x in b) for b in bases
+    ):
+        raise ValueError('matroid field "bases" must be a list of lists of strings')
+    check_enumeration_limit(len(ground))  # before the exchange check walks base pairs
     m = Matroid.from_label_sets(ground, bases)
     validate_matroid(m)
     return m

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import Digraph, digraph_from_dict, digraph_to_dict, fresh_label, opposite, swap
-from .matroid import DEFAULT_ENUMERATION_LIMIT, dual, gamma
+from .matroid import dual, gamma
 from .routing import Routing, max_routing, validate_routing
 
 
@@ -97,12 +97,12 @@ def _require_standard(rep: Representation) -> None:
         raise NotStandardError("; ".join(defects))
 
 
-def is_duality_respecting(rep: Representation, *, max_ground: int = DEFAULT_ENUMERATION_LIMIT) -> bool:
+def is_duality_respecting(rep: Representation) -> bool:
     """True iff reversing all arcs and taking ground-minus-targets as the new
     targets represents the dual matroid."""
-    m = gamma(rep, max_ground=max_ground)
+    m = gamma(rep)
     opp = Representation(opposite(rep.digraph), rep.ground - rep.targets, rep.ground)
-    return gamma(opp, max_ground=max_ground) == dual(m)
+    return gamma(opp) == dual(m)
 
 
 def dual_representation(rep: Representation) -> Representation:

@@ -68,10 +68,14 @@ class SuiteResult:
         return f"{self.name}: {self.cases} cases, {verdict}, {self.runtime_secs:.1f}s"
 
 
-def _clip(failures: list[str], message: str, cap: int = 25) -> None:
-    if len(failures) < cap:
+_MAX_FAILURES = 25  # messages kept per suite; one more line says the rest were dropped
+_ORACLE_INSTANCES = 1000  # random instances in the routing-oracle suite
+
+
+def _clip(failures: list[str], message: str) -> None:
+    if len(failures) < _MAX_FAILURES:
         failures.append(message)
-    elif len(failures) == cap:
+    elif len(failures) == _MAX_FAILURES:
         failures.append("... further failures suppressed")
 
 
@@ -271,14 +275,14 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
     return SuiteResult("surgery", cases, failures, time.perf_counter() - t0)
 
 
-def routing_oracle_suite(instances: int = 1000, max_vertices: int = 6, seed: int = 7) -> SuiteResult:
+def routing_oracle_suite(max_vertices: int = 6, seed: int = 7) -> SuiteResult:
     """Random digraph/source/target instances: the flow engine must agree
     with exhaustive path-family enumeration, and its returned routing must
     satisfy every routing invariant."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures: list[str] = []
-    for i in range(instances):
+    for i in range(_ORACLE_INSTANCES):
         n = rng.randint(1, max_vertices)
         density = rng.choice([0.1, 0.2, 0.35, 0.5])
         arcs = {
@@ -302,7 +306,7 @@ def routing_oracle_suite(instances: int = 1000, max_vertices: int = 6, seed: int
         expected = brute_max_routing_size(d, xs, ts)
         if routing.size != expected:
             _clip(failures, f"{tag}: engine size {routing.size} != oracle size {expected}")
-    return SuiteResult("routing-oracle", instances, failures, time.perf_counter() - t0)
+    return SuiteResult("routing-oracle", _ORACLE_INSTANCES, failures, time.perf_counter() - t0)
 
 
 def arc_values_suite(limits: SearchLimits | None = None) -> SuiteResult:
@@ -352,8 +356,8 @@ def arc_values_suite(limits: SearchLimits | None = None) -> SuiteResult:
     )
 
 
-def minor_complexity_suite(max_ground: int = 4, limits: SearchLimits | None = None) -> SuiteResult:
-    """Every matroid on up to `max_ground` labeled elements: arc complexity is
+def minor_complexity_suite(limits: SearchLimits | None = None) -> SuiteResult:
+    """Every matroid on up to four labeled elements: arc complexity is
     invariant under duality and non-increasing under restriction and
     contraction, all with exhaustive certificates."""
     t0 = time.perf_counter()
@@ -369,8 +373,8 @@ def minor_complexity_suite(max_ground: int = 4, limits: SearchLimits | None = No
             cache[m] = cert.value if cert.search_exhaustive else None
         return cache[m]
 
-    letters = tuple("abcdefgh"[:max_ground])
-    for size in range(max_ground + 1):
+    letters = ("a", "b", "c", "d")
+    for size in range(len(letters) + 1):
         for m in all_matroids(letters[:size]):
             cases += 1
             tag = f"matroid bases={sorted(sorted(b) for b in m.bases_label_sets())}"
@@ -500,11 +504,9 @@ _SUITE_CALLS = {
         count, max_vertices or 6, seed
     ),
     "surgery": lambda count, max_vertices, seed, **_: surgery_suite(count, max_vertices or 6, seed),
-    "routing-oracle": lambda instances, max_vertices, seed, **_: routing_oracle_suite(
-        instances, max_vertices or 6, seed
-    ),
+    "routing-oracle": lambda max_vertices, seed, **_: routing_oracle_suite(max_vertices or 6, seed),
     "arc-values": lambda limits, **_: arc_values_suite(limits),
-    "minor-complexity": lambda max_ground, limits, **_: minor_complexity_suite(max_ground, limits),
+    "minor-complexity": lambda limits, **_: minor_complexity_suite(limits),
     "closure": lambda limits, **_: closure_suite(limits),
     "bounds": lambda limits, **_: bounds_suite(limits=limits),
 }
@@ -516,22 +518,13 @@ def run_suite(
     *,
     seed: int = 7,
     count: int = 500,
-    instances: int = 1000,
     max_vertices: int | None = None,
-    max_ground: int = 4,
     limits: SearchLimits | None = None,
 ) -> list[SuiteResult]:
     """Run one named suite (or "all"); sizes default to the acceptance-grade
     parameters."""
     if name != "all" and name not in _SUITE_CALLS:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}, all")
-    options = dict(
-        seed=seed,
-        count=count,
-        instances=instances,
-        max_vertices=max_vertices,
-        max_ground=max_ground,
-        limits=limits,
-    )
+    options = dict(seed=seed, count=count, max_vertices=max_vertices, limits=limits)
     names = SUITE_NAMES if name == "all" else (name,)
     return [_SUITE_CALLS[entry](**options) for entry in names]

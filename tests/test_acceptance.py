@@ -6,6 +6,8 @@ counterexamples if any.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see the per-criterion lines and runtimes.
 """
 
+import pytest
+
 from gammoids.suites import (
     SuiteResult,
     arc_values_suite,
@@ -20,8 +22,17 @@ from gammoids.suites import (
 
 SEED = 2026
 
-# certificates produced by criteria 4 and 5, re-checked by criterion 7
-_certificates = []
+
+# Criteria 4 and 5 produce the certificates that criterion 7 re-checks.  The
+# module-scoped fixtures run each suite once, whichever test asks first.
+@pytest.fixture(scope="module")
+def arc_values():
+    return arc_values_suite()
+
+
+@pytest.fixture(scope="module")
+def minor_complexity():
+    return minor_complexity_suite()
 
 
 def _report(number: int, label: str, result: SuiteResult, extra: str = "") -> None:
@@ -55,21 +66,17 @@ def test_criterion_3_ground_set_surgery():
     _report(3, "restriction / contraction surgery over all ground subsets", result)
 
 
-def test_criterion_4_exact_arc_complexities():
+def test_criterion_4_exact_arc_complexities(arc_values):
     # exhaustive search values: U(n,n) and U(0,n) cost 0 for n <= 5;
     # U(1,2)=1, U(1,3)=2, U(2,3)=2, U(2,4)=4, all equal to rank*(size-rank)
-    result = arc_values_suite()
-    _certificates.extend(result.details["certificates"])
-    timings = result.details["timings"]
-    _report(4, "exact uniform arc complexities", result, f"runtimes: {timings}")
+    timings = arc_values.details["timings"]
+    _report(4, "exact uniform arc complexities", arc_values, f"runtimes: {timings}")
 
 
-def test_criterion_5_complexity_under_duality_and_minors():
+def test_criterion_5_complexity_under_duality_and_minors(minor_complexity):
     # all matroids on at most 4 labeled elements: complexity equal under
     # duality, non-increasing under restriction and contraction
-    result = minor_complexity_suite(max_ground=4)
-    _certificates.extend(result.details["certificates"])
-    _report(5, "arc complexity vs duality and minors, |E| <= 4", result)
+    _report(5, "arc complexity vs duality and minors, |E| <= 4", minor_complexity)
 
 
 def test_criterion_6_width_closure():
@@ -79,16 +86,16 @@ def test_criterion_6_width_closure():
     _report(6, "bounded-width closure under duality, minors, direct sums", result)
 
 
-def test_criterion_7_upper_bounds_on_certificates():
-    # every exhaustive certificate collected above satisfies the closed-form
-    # bound and its witness touches at most two vertices per arc
-    assert _certificates, "criteria 4 and 5 must run first in this module"
-    result = bounds_suite(_certificates)
+def test_criterion_7_upper_bounds_on_certificates(arc_values, minor_complexity):
+    # every exhaustive certificate of criteria 4 and 5 satisfies the
+    # closed-form bound and its witness touches at most two vertices per arc
+    certificates = arc_values.details["certificates"] + minor_complexity.details["certificates"]
+    result = bounds_suite(certificates)
     _report(7, "closed-form and vertex bounds on all certificates", result)
 
 
 def test_criterion_8_routing_oracle_equivalence():
     # 1000 random digraph/source/target instances with |V| <= 6 against
     # exhaustive path-family enumeration
-    result = routing_oracle_suite(instances=1000, max_vertices=6, seed=SEED)
+    result = routing_oracle_suite(max_vertices=6, seed=SEED)
     _report(8, "flow engine vs path-family oracle", result)

@@ -1,11 +1,14 @@
 import json
+import time
 
 import pytest
 
+from gammoids import cli
 from gammoids.cli import main
 from gammoids.complexity import uniform_rep
+from gammoids.digraph import Digraph
 from gammoids.matroid import matroid_from_dict, matroid_to_dict, uniform
-from gammoids.representation import rep_from_dict, rep_to_dict
+from gammoids.representation import Representation, rep_from_dict, rep_to_dict
 
 
 @pytest.fixture
@@ -47,6 +50,17 @@ def test_eval_arc_free_full_target_rep(tmp_path, capsys):
     assert main(["eval", str(path)]) == 0
     m = matroid_from_dict(json.loads(capsys.readouterr().out))
     assert m.rank == 2 and len(m.bases) == 1  # free matroid
+
+
+def test_eval_verify_validates_the_matroid(rep_file, monkeypatch, capsys):
+    def reject(m):
+        raise ValueError("not a matroid")
+
+    monkeypatch.setattr(cli, "validate_matroid", reject)
+    assert main(["eval", rep_file]) == 0
+    capsys.readouterr()
+    assert main(["eval", rep_file, "--verify"]) == 1
+    assert capsys.readouterr().err == "error: not a matroid\n"
 
 
 def test_eval_malformed_json(tmp_path, capsys):
@@ -115,6 +129,28 @@ def test_non_matroid_input_is_rejected(tmp_path, capsys, command):
     assert "basis-exchange fails for ['a', 'b'] / ['c', 'd']" in capsys.readouterr().err
 
 
+def test_ground_sets_over_the_limit_exit_1_at_once(tmp_path, capsys):
+    matroid = tmp_path / "u4_17.json"  # 2,380 bases: too many to check basis exchange fast
+    matroid.write_text(json.dumps(matroid_to_dict(uniform(4, 17))))
+    free = Representation(Digraph.build(17, []), frozenset(), frozenset(range(17)))
+    rep = tmp_path / "free17.json"
+    rep.write_text(json.dumps(rep_to_dict(free)))
+    for argv in (
+        ["arc-complexity", str(matroid)],
+        ["fwidth", str(matroid)],
+        ["in-class", str(matroid), "--q", "1"],
+        ["conjecture-uniform", "1", "17"],
+        ["eval", str(rep)],
+        ["transform", str(rep), "dualize", "--verify"],
+    ):
+        t0 = time.monotonic()
+        assert main(argv) == 1, argv
+        assert time.monotonic() - t0 < 1.0, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv
+        assert err.endswith(": ground set has 17 elements, enumeration limit is 16\n"), argv
+
+
 def test_fwidth_command(matroid_file, capsys):
     assert main(["fwidth", matroid_file, "--f", "fhat"]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -136,6 +172,12 @@ def test_in_class_command(matroid_file, capsys):
     assert json.loads(capsys.readouterr().out)["member"] is True
     assert main(["in-class", matroid_file, "--q", "1/4"]) == 0
     assert json.loads(capsys.readouterr().out)["member"] is False
+
+
+@pytest.mark.parametrize("flags", [["--q", "1/0"], ["--q", "1", "--f", "linear:1/0"]])
+def test_in_class_rejects_a_zero_denominator(matroid_file, capsys, flags):
+    assert main(["in-class", matroid_file, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_in_class_with_table_function(matroid_file, tmp_path, capsys):
@@ -165,7 +207,8 @@ def test_check_command_small(capsys):
 
 
 def test_check_command_routing(capsys):
-    assert main(["check", "routing-oracle", "--instances", "60", "--seed", "5"]) == 0
+    assert main(["check", "routing-oracle", "--max-vertices", "4", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["cases"] == 1000
 
 
 def test_check_rejects_unknown_suite():

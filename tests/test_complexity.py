@@ -1,5 +1,7 @@
+import concurrent.futures
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +9,8 @@ from gammoids.complexity import (
     BudgetExhaustedError,
     SearchLimits,
     SuperAdditiveFn,
+    _circuit_ids,
+    _search_chunk,
     arc_complexity,
     f_width,
     in_class,
@@ -16,7 +20,7 @@ from gammoids.complexity import (
     uniform_rep,
     verify_uniform_conjecture,
 )
-from gammoids.matroid import Matroid, gamma, uniform
+from gammoids.matroid import Matroid, direct_sum, gamma, relabel, uniform
 from gammoids.representation import is_standard, standardize
 from gammoids.suites import random_representation
 
@@ -143,11 +147,60 @@ def test_wall_clock_budget():
         arc_complexity(uniform(3, 6), SearchLimits(wall_secs=0.0))
 
 
-def test_workers_do_not_change_the_result():
-    one = arc_complexity(uniform(2, 4), SearchLimits(workers=1))
-    two = arc_complexity(uniform(2, 4), SearchLimits(workers=2))
-    assert one.value == two.value
-    assert one.witness == two.witness
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Every process pool the search starts, recorded by its worker count."""
+    starts = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Counting(real):
+        def __init__(self, workers):
+            starts.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return starts
+
+
+def _pairs_except(labels, pair):
+    return Matroid.from_label_sets(labels, [p for p in combinations(labels, 2) if p != pair])
+
+
+def test_workers_do_not_change_the_result(pool_starts):
+    # U(2,5) with c parallel to e: levels of about 35k, 853k and 8 raw
+    # candidates, so the last level is big enough to run on a pool
+    m = _pairs_except("abcde", ("c", "e"))
+    one = arc_complexity(m, SearchLimits(workers=1))
+    assert pool_starts == []
+    two = arc_complexity(m, SearchLimits(workers=2))
+    assert pool_starts and set(pool_starts) == {2}
+    assert (one.value, one.witness, one.levels) == (two.value, two.witness, two.levels)
+
+
+def test_small_searches_start_no_pool(pool_starts):
+    fhat = SuperAdditiveFn.fhat()
+    pair = relabel(uniform(1, 2), {"1": "a", "2": "b"})
+    for m in (uniform(2, 4), direct_sum(uniform(1, 2), pair)):
+        assert f_width(m, fhat, SearchLimits(workers=2)) == f_width(m, fhat)
+    assert pool_starts == []
+
+
+def test_canonicity_filter_leaves_no_witness_below_the_value():
+    # with two internal vertices, candidates of up to 5 arcs pass the degree
+    # and reachability filters and reach the relabelling filter; U(2,5)
+    # needs 6 arcs, so the bounded search must report an exhausted budget
+    with pytest.raises(BudgetExhaustedError):
+        arc_complexity(uniform(2, 5), SearchLimits(max_arcs=5, max_internal=2))
+
+
+def test_candidate_routing_a_circuit_is_rejected():
+    # rank 2 on a, b, c, d with c parallel to d: for targets {a, b} and no
+    # internal vertex the only 4-arc candidate is U(2,4)'s representation,
+    # which routes every base and also the circuit {c, d}
+    m = _pairs_except("abcd", ("c", "d"))
+    bases_ids = tuple(tuple(i for i in range(4) if b >> i & 1) for b in sorted(m.bases))
+    chunk = (4, 0b0011, 0, 4, bases_ids, tuple(_circuit_ids(m)), (0, 1, 2, 3), (), None)
+    assert _search_chunk(chunk) == (None, 1, True)
 
 
 def test_search_agrees_with_generate_and_test_oracle():

@@ -138,5 +138,6 @@ def test_json_rejects_unknown_vertex():
 
 
 def test_json_rejects_malformed_arcs():
-    with pytest.raises(ValueError):
-        digraph_from_dict({"vertices": ["a"], "arcs": ["a"]})
+    for arcs in (["a"], 5, None, [["a", ["x"]]]):
+        with pytest.raises(ValueError):
+            digraph_from_dict({"vertices": ["a"], "arcs": arcs})

@@ -174,12 +174,6 @@ def test_gamma_uniform_representation():
     assert gamma(uniform_rep(2, 4)) == uniform(2, 4)
 
 
-def test_gamma_validates_when_asked():
-    from gammoids.complexity import uniform_rep
-
-    gamma(uniform_rep(2, 3), validate=True)
-
-
 def test_gamma_matches_path_family_oracle():
     rng = random.Random(21)
     for _ in range(200):
@@ -189,10 +183,11 @@ def test_gamma_matches_path_family_oracle():
 
 
 def test_gamma_enumeration_limit():
-    d = Digraph.build(5, [])
-    rep = Representation(d, frozenset(), frozenset(range(5)))
-    with pytest.raises(EnumerationLimitError):
-        gamma(rep, max_ground=4)
+    at_limit = Representation(Digraph.build(16, []), frozenset(), frozenset(range(16)))
+    assert gamma(at_limit).rank == 0
+    over = Representation(Digraph.build(17, []), frozenset(), frozenset(range(17)))
+    with pytest.raises(EnumerationLimitError, match="17 elements, enumeration limit is 16"):
+        gamma(over)
 
 
 def test_gammas_satisfy_matroid_axioms():
@@ -243,5 +238,7 @@ def test_json_rejects_malformed():
         matroid_from_dict({"ground": "ab", "bases": []})
     with pytest.raises(ValueError):
         matroid_from_dict({"ground": ["a"], "bases": [["b"]]})
+    with pytest.raises(ValueError, match="lists of strings"):
+        matroid_from_dict({"ground": ["x"], "bases": [[["x"]]]})
     with pytest.raises(ValueError, match="basis-exchange"):
         matroid_from_dict({"ground": ["a", "b", "c", "d"], "bases": [["a", "b"], ["c", "d"]]})

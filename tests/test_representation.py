@@ -3,11 +3,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gammoids.bruteforce import brute_gamma_bases
 from gammoids.complexity import uniform_rep
-from gammoids.digraph import Digraph, swap
-from gammoids.matroid import contract_to, gamma, restrict, uniform
+from gammoids.digraph import Digraph, digraph_from_dict, swap
+from gammoids.matroid import contract_to, gamma, matroid_from_dict, restrict, uniform
 from gammoids.representation import (
     NotABaseError,
     NotStandardError,
@@ -358,3 +359,34 @@ def test_rep_json_rejects_bad_fields():
         rep_from_dict({"targets": []})
     with pytest.raises(ValueError):
         rep_from_dict({"digraph": {"vertices": ["a"], "arcs": []}, "targets": "a"})
+
+
+# Arbitrary JSON values, and JSON objects carrying any subset of a loader's
+# fields, whose values are often lists of a few shared labels, so that the
+# fuzzing gets past the first type checks into the nested ones.
+_LABEL = st.sampled_from(["a", "b", "c"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2) | _LABEL,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+_ITEMS = _LABEL | st.lists(_LABEL, max_size=2) | _JSON
+_VALUES = st.lists(_LABEL, max_size=3) | st.lists(st.lists(_ITEMS, max_size=3), max_size=3) | _JSON
+
+
+def _objects(**fields):
+    return st.fixed_dictionaries({}, optional=fields) | _JSON
+
+
+_DIGRAPH = _objects(vertices=_VALUES, arcs=_VALUES)
+_REP = _objects(digraph=_DIGRAPH, targets=_VALUES, ground=_VALUES)
+_MATROID = _objects(ground=_VALUES, bases=_VALUES)
+
+
+@given(_DIGRAPH, _REP, _MATROID)
+def test_json_loaders_raise_only_value_error(digraph, rep, matroid):
+    for load, blob in ((digraph_from_dict, digraph), (rep_from_dict, rep), (matroid_from_dict, matroid)):
+        try:
+            load(blob)
+        except ValueError:
+            pass
