@@ -108,6 +108,15 @@ def _parse_f(spec: str) -> SuperAdditiveFn:
         raise InputError(str(exc)) from exc
 
 
+def _at_least(low: int):
+    """Argparse type: an integer no smaller than `low`, else a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _labels_arg(value: str) -> list[str]:
     return [part for part in (piece.strip() for piece in value.split(",")) if part]
 
@@ -261,13 +270,13 @@ def cmd_check(args) -> int:
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--limits.max-arcs", dest="max_arcs", type=int, default=None,
+    parser.add_argument("--limits.max-arcs", dest="max_arcs", type=_at_least(0), default=None,
                         help="cap on the searched arc count")
-    parser.add_argument("--limits.max-internal", dest="max_internal", type=int, default=None,
-                        help="cap on internal vertices per search level")
+    parser.add_argument("--limits.max-internal", dest="max_internal", type=_at_least(0),
+                        default=None, help="cap on internal vertices per search level")
     parser.add_argument("--limits.wall-secs", dest="wall_secs", type=float, default=None,
                         help="total wall-clock budget in seconds")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes for the search (default 1)")
 
 
@@ -330,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--count", type=int, default=500, help="random representations to draw")
-    p.add_argument("--max-vertices", type=int, default=None)
+    p.add_argument("--count", type=_at_least(1), default=500, help="random representations to draw")
+    p.add_argument("--max-vertices", type=_at_least(1), default=None)
     _add_limit_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_check)

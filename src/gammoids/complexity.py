@@ -238,8 +238,8 @@ def lower_bound(m: Matroid) -> int:
     return len(m.ground) - len(m.loops()) - m.rank
 
 
-def _circuit_ids(m: Matroid) -> list[tuple[int, ...]]:
-    """Minimal dependent sets, as tuples of ground positions."""
+def _circuits(m: Matroid) -> tuple[int, ...]:
+    """Minimal dependent sets, as ascending bit masks over ground positions."""
     g = len(m.ground)
     table = bytearray(1 << g)
     for b in m.bases:
@@ -249,14 +249,11 @@ def _circuit_ids(m: Matroid) -> list[tuple[int, ...]]:
             if sub == 0:
                 break
             sub = (sub - 1) & b
-    circuits = []
-    for x in range(1, 1 << g):
-        if table[x]:
-            continue
-        bits = [i for i in range(g) if x >> i & 1]
-        if all(table[x ^ (1 << i)] for i in bits):
-            circuits.append(tuple(bits))
-    return circuits
+    return tuple(
+        x
+        for x in range(1, 1 << g)
+        if not table[x] and all(table[x ^ (1 << i)] for i in range(g) if x >> i & 1)
+    )
 
 
 # -- the exhaustive search ------------------------------------------------------
@@ -276,21 +273,20 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
     chunk in lexicographic order; return the first matching arc set, the
     number of raw candidates generated, and whether the chunk ran to
     completion.  Top-level and picklable so it can run in worker processes.
+
+    The chunk is ``(g, t_mask, k, a, bases, circuits, loops, deadline)``:
+    vertices ``0..g-1`` are the ground positions and ``g..g+k-1`` the
+    internal vertices, and every vertex set (the target base, the sorted
+    bases, the circuits, the matroid's loops) is a bit mask over them.
     """
-    (g, t_mask, k, a, bases_ids, circuits_ids, nonloop_ids, loop_ids, deadline) = args
-    targets = [i for i in range(g) if t_mask >> i & 1]
-    sources = [i for i in range(g) if not t_mask >> i & 1]
-    internals = list(range(g, g + k))
-    pairs = sorted(
-        (u, v)
-        for u in sources + internals
-        for v in internals + targets
-        if u != v
-    )
+    (g, t_mask, k, a, bases, circuits, loops, deadline) = args
+    tails = [u for u in range(g + k) if not t_mask >> u & 1]  # sources, internals
+    heads = [v for v in range(g + k) if v >= g or t_mask >> v & 1]  # internals, targets
+    pairs = sorted((u, v) for u in tails for v in heads if u != v)
     if len(pairs) < a:
         return None, 0, True
 
-    tset = set(targets)
+    nonloops = ((1 << g) - 1) & ~loops
     full_k = (1 << k) - 1
     perms = list(permutations(range(k)))[1:] if k >= 2 else []
     count = 0
@@ -311,20 +307,13 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
 
         # reverse reachability: every non-loop element must reach the
         # targets, no matroid loop may
-        radj: dict[int, list[int]] = {}
-        for u, v in combo:
-            radj.setdefault(v, []).append(u)
-        reach = set(targets)
-        stack = list(targets)
-        while stack:
-            v = stack.pop()
-            for u in radj.get(v, ()):
-                if u not in reach:
-                    reach.add(u)
-                    stack.append(u)
-        if any(e not in reach for e in nonloop_ids):
-            continue
-        if any(e in reach for e in loop_ids):
+        reach, grown = 0, t_mask
+        while grown != reach:
+            reach = grown
+            for u, v in combo:
+                if grown >> v & 1:
+                    grown |= 1 << u
+        if reach & ~(-1 << g) != nonloops:
             continue
 
         if perms:
@@ -345,14 +334,12 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
             if not canonical:
                 continue
 
-        succ: list[list[int]] = [[] for _ in range(g + k)]
+        succ = [0] * (g + k)
         for u, v in combo:
-            succ[u].append(v)
-        for lst in succ:
-            lst.sort()
-        if not all(_routable_ids(succ, tset, base) for base in bases_ids):
+            succ[u] |= 1 << v
+        if not all(_routable_ids(succ, t_mask, base) for base in bases):
             continue
-        if any(_routable_ids(succ, tset, circ) for circ in circuits_ids):
+        if any(_routable_ids(succ, t_mask, circ) for circ in circuits):
             continue
         return combo, count, True
     return None, count, True
@@ -374,14 +361,9 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     g = len(m.ground)
     check_enumeration_limit(g)
 
-    bases_masks = sorted(m.bases)
-    bases_ids = tuple(
-        tuple(i for i in range(g) if b >> i & 1) for b in bases_masks
-    )
-    circuits_ids = tuple(_circuit_ids(m))
-    loops = m.loops()
-    loop_ids = tuple(i for i, lab in enumerate(m.ground) if lab in loops)
-    nonloop_ids = tuple(i for i, lab in enumerate(m.ground) if lab not in loops)
+    bases = tuple(sorted(m.bases))
+    circuits = _circuits(m)
+    loops = m.mask_of(m.loops())
 
     lb = lower_bound(m)
     cap = limits.max_arcs if limits.max_arcs is not None else kw_upper_bound(m.rank, g)
@@ -394,9 +376,9 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     for a in range(lb, cap + 1):
         k_cap = a if limits.max_internal is None else min(a, limits.max_internal)
         todo = [
-            (g, t_mask, k, a, bases_ids, circuits_ids, nonloop_ids, loop_ids, deadline)
+            (g, t_mask, k, a, bases, circuits, loops, deadline)
             for k in range(k_cap + 1)
-            for t_mask in bases_masks
+            for t_mask in bases
         ]
         level_complete = k_cap == a
         candidates = 0

@@ -58,13 +58,14 @@ class Digraph:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted out-neighbours per vertex with loops dropped (routing view)."""
-        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
+    def successors(self) -> tuple[int, ...]:
+        """Out-neighbours per vertex as a bit mask over vertex ids, loops
+        dropped (routing view); bit w of ``successors[v]`` is the arc (v, w)."""
+        out = [0] * self.vertex_count
         for u, v in self.arcs:
             if u != v:
-                out[u].append(v)
-        return tuple(tuple(sorted(heads)) for heads in out)
+                out[u] |= 1 << v
+        return tuple(out)
 
     def out_degree(self, v: int) -> int:
         """Number of arcs leaving ``v``; loops count, so a looped vertex is no sink."""
@@ -163,8 +164,6 @@ def digraph_from_dict(obj: dict) -> Digraph:
     if not isinstance(arcs, list):
         raise ValueError('digraph field "arcs" must be a list of [tail, head] pairs')
     labels = tuple(vertices)
-    if len(set(labels)) != len(labels):
-        raise ValueError("digraph vertex labels must be unique")
     idx = {lab: i for i, lab in enumerate(labels)}
     arc_set = set()
     for entry in arcs:

@@ -241,29 +241,30 @@ def gamma(rep: "Representation") -> Matroid:
     """Materialize the matroid represented by ``(digraph, targets, ground)``:
     a set is independent iff it routes into the targets.
 
-    Subsets are bit masks over the ascending ground ids, enumerated in
-    rank-bounded order: level k+1 candidates extend independent k-sets above
-    their top bit and have only independent k-subsets, so the enumeration
-    stops at the rank.
+    Subsets are bit masks over vertex ids, the form `_routable_ids` takes,
+    enumerated in rank-bounded order: level k+1 candidates extend
+    independent k-sets by a ground vertex above their top bit and have only
+    independent k-subsets, so the enumeration stops at the rank.  Only the
+    bases are re-indexed, onto the ascending ground ids.
     """
     ids = sorted(rep.ground)
-    g = len(ids)
-    check_enumeration_limit(g)
+    check_enumeration_limit(len(ids))
     succ = rep.digraph.successors
-    tset = set(rep.targets)
+    targets = sum(1 << t for t in rep.targets)
 
     level, nxt = set(), {0}
     while nxt:  # the last non-empty level holds the bases
         level, nxt = nxt, set()
         for s in level:
-            for j in range(s.bit_length(), g):
+            for j in ids:
                 cand = s | 1 << j
-                if not all(cand ^ 1 << i in level for i in range(j) if s >> i & 1):
+                if s >> j or not all(cand ^ 1 << i in level for i in ids if s >> i & 1):
                     continue
-                if _routable_ids(succ, tset, [ids[i] for i in range(g) if cand >> i & 1]):
+                if _routable_ids(succ, targets, cand):
                     nxt.add(cand)
 
-    return Matroid(tuple(rep.digraph.labels[i] for i in ids), frozenset(level))
+    bases = frozenset(sum(1 << p for p, i in enumerate(ids) if b >> i & 1) for b in level)
+    return Matroid(tuple(rep.digraph.labels[i] for i in ids), bases)
 
 
 # -- JSON -------------------------------------------------------------------

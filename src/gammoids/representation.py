@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .digraph import Digraph, digraph_from_dict, digraph_to_dict, fresh_label, opposite, swap
 from .matroid import dual, gamma
-from .routing import Routing, max_routing, validate_routing
+from .routing import Routing, _vertex_mask, max_routing, validate_routing
 
 
 class NotStandardError(ValueError):
@@ -41,10 +41,7 @@ class Representation:
     def __post_init__(self):
         object.__setattr__(self, "targets", frozenset(self.targets))
         object.__setattr__(self, "ground", frozenset(self.ground))
-        n = self.digraph.vertex_count
-        for v in self.targets | self.ground:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} outside the digraph")
+        _vertex_mask(self.digraph, self.targets | self.ground)  # every vertex in range
 
     @property
     def arc_count(self) -> int:
@@ -208,12 +205,11 @@ def standardize(rep: Representation, base: Iterable[int]) -> Representation:
     arcs.update((primed[b], new_id[b]) for b in base_ids)
     arcs.update((new_id[e], primed[e]) for e in ground_ids if e not in base_ids)
 
-    out = Representation(
+    return Representation(
         Digraph(tuple(labels) + tuple(primed_labels), frozenset(arcs)),
         frozenset(new_id[b] for b in base_ids),
         frozenset(new_id[e] for e in ground_ids),
     )
-    return out
 
 
 # -- minor surgery ------------------------------------------------------------

@@ -16,6 +16,10 @@ augmented now can never be routed alongside the current ones.
 Extracted paths are truncated at the first target they touch, which keeps
 the routing size and turns every routed x in X ∩ Y into the single-vertex
 path ``(x)``.
+
+Below the public functions every vertex set is an int bit mask over vertex
+ids; the public functions take id collections and reject ids outside the
+digraph through one helper, `_vertex_mask`.
 """
 
 from __future__ import annotations
@@ -63,9 +67,7 @@ def validate_routing(d: Digraph, routing: Routing) -> None:
             raise ValueError("routing contains an empty path")
         if len(set(p)) != len(p):
             raise ValueError(f"path {p} repeats a vertex")
-        for v in p:
-            if not 0 <= v < d.vertex_count:
-                raise ValueError(f"path {p} leaves the vertex range")
+        _vertex_mask(d, p)  # every vertex in range
         for u, v in zip(p, p[1:]):
             if (u, v) not in d.arcs:
                 raise ValueError(f"path {p} uses the missing arc ({u}, {v})")
@@ -80,63 +82,67 @@ def validate_routing(d: Digraph, routing: Routing) -> None:
 
 
 def _link(
-    succ: Sequence[Sequence[int]],
-    targets: Iterable[int],
-    sources: Iterable[int],
-    early_abort: bool = False,
-) -> tuple[list[int], list[set[int]]]:
-    """Core flow routine on raw adjacency lists.
+    succ: Sequence[int], targets: int, sources: int, early_abort: bool = False
+) -> tuple[list[int], list[int]]:
+    """Core flow routine on out-neighbour masks (``Digraph.successors``) with
+    the target and source sets as bit masks over vertex ids.
 
     Returns ``(routed, res)``: the sources that got a path (ascending) and
-    the residual graph on ``v_in = v``, ``v_out = n + v``; a flow path leaves
-    v by the one successor missing from ``res[n + v]`` (which holds v).  With
-    `early_abort`, gives up once a source fails, enough for independence tests.
+    the residual graph as one out-mask per node, ``v_in = v``, ``v_out = n + v``
+    and sink ``2n``; a flow path leaves v by the one successor missing from
+    ``res[n + v]``.  With `early_abort`, gives up once a source fails, enough
+    for independence tests.
     """
     n = len(succ)
-    snk = 2 * n  # node ids: v_in = v, v_out = n + v
-    res: list[set[int]] = [set() for _ in range(2 * n + 1)]
-    for v in range(n):
-        res[v].add(n + v)
-        for w in succ[v]:
-            if w != v:
-                res[n + v].add(w)
-    tset = set(targets)
-    for t in tset:
-        res[n + t].add(snk)
-
+    snk = 2 * n
+    res = [1 << (n + v) for v in range(n)]
+    res += [heads | (targets >> v & 1) << snk for v, heads in enumerate(succ)] + [0]
     routed: list[int] = []
-    for x in sorted(set(sources)):
-        parent = {x: -1}
-        queue = deque([x])
-        found = False
-        while queue and not found:
+    parent = [0] * (snk + 1)
+    for x in range(n):
+        if not sources >> x & 1:
+            continue
+        seen, queue = 1 << x, deque([x])
+        while queue and not seen >> snk:
             a = queue.popleft()
-            for b in sorted(res[a]):
-                if b not in parent:
-                    parent[b] = a
-                    if b == snk:
-                        found = True
-                        break
-                    queue.append(b)
-        if not found:
+            new = res[a] & ~seen
+            seen |= new
+            while new:  # ascending node order
+                b = (new & -new).bit_length() - 1
+                new &= new - 1
+                parent[b] = a
+                queue.append(b)
+        if not seen >> snk:
             if early_abort:
                 return routed, res
             continue
         node = snk
         while node != x:
             prev = parent[node]
-            res[prev].discard(node)
-            res[node].add(prev)
+            res[prev] &= ~(1 << node)
+            res[node] |= 1 << prev
             node = prev
         routed.append(x)
     return routed, res
 
 
-def _routable_ids(succ: Sequence[Sequence[int]], targets: Iterable[int], xs: Iterable[int]) -> bool:
-    """True iff every vertex in `xs` can be routed simultaneously into `targets`."""
-    xs = set(xs)
+def _routable_ids(succ: Sequence[int], targets: int, xs: int) -> bool:
+    """True iff every vertex in the mask `xs` can be routed simultaneously
+    into the mask `targets`.  The flow entry point that `gamma` and the
+    search call directly; the name stays because the benchmark's tracer
+    wraps it as the routing layer (``perfbench/spans.py``)."""
     routed, _ = _link(succ, targets, xs, early_abort=True)
-    return len(routed) == len(xs)
+    return len(routed) == xs.bit_count()
+
+
+def _vertex_mask(d: Digraph, ids: Iterable[int]) -> int:
+    """Bit mask of a vertex-id collection; rejects ids outside `d`."""
+    mask = 0
+    for v in ids:
+        if not 0 <= v < d.vertex_count:
+            raise ValueError(f"vertex {v} outside the digraph")
+        mask |= 1 << v
+    return mask
 
 
 def max_routing(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> Routing:
@@ -146,26 +152,23 @@ def max_routing(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> R
     reach, so a source that is itself a target is always routed as ``(x)``.
     """
     n = d.vertex_count
-    src = sorted(set(sources))
-    tset = set(targets)
-    for v in src + sorted(tset):
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside the digraph")
-    routed, res = _link(d.successors, tset, src)
+    targets = frozenset(targets)
+    src, tmask = _vertex_mask(d, sources), _vertex_mask(d, targets)
+    routed, res = _link(d.successors, tmask, src)
     paths = []
-    for x in routed:
-        path = [x]
-        v = x
-        while v not in tset:
-            v = next(w for w in d.successors[v] if w not in res[n + v])
+    for v in routed:  # ascending starts, so the paths come out sorted
+        path = [v]
+        while not tmask >> v & 1:
+            flow = d.successors[v] & ~res[n + v]
+            v = (flow & -flow).bit_length() - 1
             path.append(v)
-        paths.append(tuple(path))
-    return Routing(tuple(sorted(paths)), frozenset(tset))
+        paths.append(path)
+    return Routing(paths, targets)
 
 
 def routable(d: Digraph, xs: Iterable[int], targets: Iterable[int]) -> bool:
     """True iff all of `xs` can be routed into `targets` at once."""
-    return _routable_ids(d.successors, targets, xs)
+    return _routable_ids(d.successors, _vertex_mask(d, targets), _vertex_mask(d, xs))
 
 
 def is_independent(rep: "Representation", xs: Iterable[int]) -> bool:
@@ -174,4 +177,4 @@ def is_independent(rep: "Representation", xs: Iterable[int]) -> bool:
     xs = frozenset(xs)
     if not xs <= rep.ground:
         raise ValueError("independence queries must stay inside the ground set")
-    return _routable_ids(rep.digraph.successors, rep.targets, xs)
+    return routable(rep.digraph, xs, rep.targets)

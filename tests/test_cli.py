@@ -221,3 +221,35 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["transform"])  # missing arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "swap-invariance", "--max-vertices", "0"],
+        ["check", "surgery", "--max-vertices", "-2"],
+        ["check", "surgery", "--count", "0"],
+        ["arc-complexity", "MATROID", "--limits.max-internal", "-1"],
+        ["arc-complexity", "MATROID", "--limits.max-arcs", "-1"],
+        ["arc-complexity", "MATROID", "--workers", "0"],
+        ["conjecture-uniform", "1", "2", "--workers", "-3"],
+        ["check", "routing-oracle", "--max-vertices", "x"],
+    ],
+)
+def test_numeric_options_out_of_range_are_usage_errors(matroid_file, capsys, argv):
+    argv = [matroid_file if a == "MATROID" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err or "invalid integer value" in err
+
+
+def test_numeric_options_accept_their_lower_bounds():
+    args = cli.build_parser().parse_args(
+        ["check", "all", "--max-vertices", "1", "--count", "1", "--workers", "1",
+         "--limits.max-arcs", "0", "--limits.max-internal", "0"]
+    )
+    assert (args.max_vertices, args.count, args.workers, args.max_arcs, args.max_internal) == (
+        1, 1, 1, 0, 0
+    )

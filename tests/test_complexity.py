@@ -9,7 +9,7 @@ from gammoids.complexity import (
     BudgetExhaustedError,
     SearchLimits,
     SuperAdditiveFn,
-    _circuit_ids,
+    _circuits,
     _search_chunk,
     arc_complexity,
     f_width,
@@ -198,8 +198,7 @@ def test_candidate_routing_a_circuit_is_rejected():
     # internal vertex the only 4-arc candidate is U(2,4)'s representation,
     # which routes every base and also the circuit {c, d}
     m = _pairs_except("abcd", ("c", "d"))
-    bases_ids = tuple(tuple(i for i in range(4) if b >> i & 1) for b in sorted(m.bases))
-    chunk = (4, 0b0011, 0, 4, bases_ids, tuple(_circuit_ids(m)), (0, 1, 2, 3), (), None)
+    chunk = (4, 0b0011, 0, 4, tuple(sorted(m.bases)), _circuits(m), 0, None)
     assert _search_chunk(chunk) == (None, 1, True)
 
 

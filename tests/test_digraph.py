@@ -25,7 +25,7 @@ def test_build_and_queries():
     d = Digraph.build(["a", "b", "c"], [(0, 1), (1, 2)])
     assert d.vertex_count == 3
     assert d.has_arc(0, 1) and not d.has_arc(1, 0)
-    assert d.successors[1] == (2,)
+    assert d.successors == (0b010, 0b100, 0)  # out-neighbour masks
     assert d.ids(["a", "c"]) == frozenset({0, 2})
     assert d.label_set({0, 2}) == frozenset({"a", "c"})
 
@@ -52,7 +52,7 @@ def test_degrees_count_loops():
     assert d.in_degree(0) == 1
     assert not d.is_sink(0)
     # the routing view drops the loop
-    assert d.successors[0] == (1,)
+    assert d.successors[0] == 0b10
 
 
 def test_opposite_empty_is_identity():
@@ -135,6 +135,11 @@ def test_json_round_trip():
 def test_json_rejects_unknown_vertex():
     with pytest.raises(ValueError):
         digraph_from_dict({"vertices": ["a"], "arcs": [["a", "b"]]})
+
+
+def test_json_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="labels must be unique"):
+        digraph_from_dict({"vertices": ["a", "b", "a"], "arcs": [["a", "b"]]})
 
 
 def test_json_rejects_malformed_arcs():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -63,6 +65,12 @@ def test_vertex_out_of_range_rejected():
     d = Digraph.build(2, [])
     with pytest.raises(ValueError):
         max_routing(d, {5}, {0})
+    d = Digraph.build(2, [(0, 1)])
+    for xs, targets in [({0}, {-1}), ({0}, {2}), ({0}, {3}), ({5}, {1})]:
+        with pytest.raises(ValueError, match="outside the digraph"):
+            routable(d, xs, targets)
+        with pytest.raises(ValueError, match="outside the digraph"):
+            max_routing(d, xs, targets)
 
 
 def test_loops_are_ignored():
@@ -141,3 +149,52 @@ def test_max_routing_against_oracle_randomized():
         validate_routing(d, got)
         assert got.starts() <= xs
         assert got.size == brute_max_routing_size(d, xs, ts)
+
+
+# sha256 of the outputs below, computed before the routing kernel moved from
+# sorted adjacency lists to bit masks; any change to a tie-break (BFS order,
+# source order, path extraction) changes them
+_ROUTING_DIGEST = "d7737dae3354282bcc67e8bdb561f1ac768c13dc70eae5829b21d5d1f32e5488"
+_SURGERY_DIGEST = "7ea0d6a77909542a1da4c68a1d007f3fee5b9c3616625891b0f234edccf95f69"
+
+
+def test_routings_and_surgery_keep_their_tie_breaks():
+    from gammoids.matroid import gamma, matroid_to_dict
+    from gammoids.representation import (
+        contract_representation,
+        rep_to_dict,
+        restrict_representation,
+        standardize,
+    )
+    from gammoids.suites import random_representation
+
+    # the routing-oracle corpus of acceptance criterion 8 (seed 2026)
+    h = hashlib.sha256()
+    rng = random.Random(2026)
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        density = rng.choice([0.1, 0.2, 0.35, 0.5])
+        arcs = {(u, v) for u in range(n) for v in range(n) if rng.random() < (0.08 if u == v else density)}
+        d = Digraph.build(n, arcs)
+        xs = frozenset(v for v in range(n) if rng.random() < 0.5)
+        ts = frozenset(v for v in range(n) if rng.random() < 0.4)
+        h.update(repr(max_routing(d, xs, ts).paths).encode())
+    assert h.hexdigest() == _ROUTING_DIGEST
+
+    # gamma, standardize onto every base, and restriction and contraction of
+    # one standard form to every ground subset
+    h = hashlib.sha256()
+    rng = random.Random(7)
+    for _ in range(300):
+        rep = random_representation(rng, 6)
+        m = gamma(rep)
+        h.update(json.dumps(matroid_to_dict(m), sort_keys=True).encode())
+        for b in sorted(m.bases):
+            std = standardize(rep, rep.ids_for(m.labels_of(b)))
+            h.update(json.dumps(rep_to_dict(std), sort_keys=True).encode())
+        std = standardize(rep, rep.ids_for(m.labels_of(min(m.bases))))
+        for x in range(m.full_mask + 1):
+            xs = std.ids_for(m.labels_of(x))
+            for minor in (restrict_representation(std, xs), contract_representation(std, xs)):
+                h.update(json.dumps(rep_to_dict(minor), sort_keys=True).encode())
+    assert h.hexdigest() == _SURGERY_DIGEST
