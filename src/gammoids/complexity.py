@@ -12,19 +12,33 @@ them:
   need to be tried;
 * an internal vertex (one outside the ground set) with in-degree zero or
   out-degree zero lies on no routing path, so its incident arcs can be
-  deleted without changing the represented matroid or standardness; an
-  arc-minimal representation therefore has every internal vertex with in-
-  and out-degree at least one, which bounds the internal vertex count by the
-  arc count;
+  deleted without changing the represented matroid or standardness;
+* Lemma A (merge): if an internal vertex v has exactly one in-neighbour u,
+  delete u->v and re-tail each v->w to u->w (dropping a loop u->u and any
+  duplicate).  A path through v entered it from u, so it becomes the
+  shorter path through u->w; a path using a new arc u->w lengthens back to
+  u->v->w, and v was on no other path.  Every routing therefore survives in
+  both directions.  Standardness survives too: u was already a tail, so it
+  is no target, and each w was already a head, so it is no source.  The
+  merge removes v and at least one arc.  The mirror case, one out-neighbour
+  w, deletes v->w and re-heads each u->v to u->w.  An arc-minimal standard
+  representation therefore has every internal vertex with in- and
+  out-degree at least two;
 * a loop can never be traversed, so dropping one also preserves everything.
 
+Counting arcs by their tails bounds the internal vertex count: tails are
+non-target ground elements and internal vertices, each of the lb non-loop
+sources (see ``lower_bound``) needs an out-arc, and each of the k internal
+vertices has at least two, so a >= lb + 2k, that is k <= (a - lb) // 2.
+
 Iterative deepening on the arc count hence only needs, at level a,
-candidates with at most a internal vertices, no loops, and no useless
-internal vertex: pruning any standard representation with a arcs yields one
-inside this restricted space with at most a arcs, which the current or an
-earlier level finds.  Standardness itself fixes the allowed arc shapes:
-tails range over non-target ground elements and internal vertices, heads
-over internal vertices and targets.
+candidates with at most (a - lb) // 2 internal vertices, no loops, and
+every internal vertex of in- and out-degree at least two: pruning and
+merging any standard representation with a arcs yields one inside this
+restricted space with at most a arcs, which the current or an earlier level
+finds.  Standardness itself fixes the allowed arc shapes: tails range over
+non-target ground elements and internal vertices, heads over internal
+vertices and targets.
 
 Internal vertices are anonymous, so candidates are enumerated up to
 internal-vertex relabeling only; ground elements are labeled and never
@@ -66,7 +80,9 @@ class SearchLimits:
     a gammoid), ``max_internal`` caps internal vertices per level,
     ``wall_secs`` is a total wall-clock budget, and ``workers`` is the number
     of search processes for the levels big enough to pay for them (see
-    ``_POOL_MIN_CANDIDATES``).  A truncated search never claims
+    ``_POOL_MIN_CANDIDATES``).  Level a needs at most (a - lb) // 2 internal
+    vertices (Lemma A in the module docstring), so ``max_internal`` leaves a
+    level complete iff it is at least that.  A truncated search never claims
     exhaustiveness."""
 
     max_arcs: int | None = None
@@ -295,14 +311,18 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
         if deadline is not None and count % 512 == 0 and time.monotonic() > deadline:
             return None, count, False
 
-        if k:
-            din = dout = 0
+        if k:  # Lemma A: every internal vertex has in- and out-degree >= 2
+            in1 = in2 = out1 = out2 = 0  # internals seen once, seen twice
             for u, v in combo:
                 if u >= g:
-                    dout |= 1 << (u - g)
+                    bit = 1 << (u - g)
+                    out2 |= out1 & bit
+                    out1 |= bit
                 if v >= g:
-                    din |= 1 << (v - g)
-            if din != full_k or dout != full_k:
+                    bit = 1 << (v - g)
+                    in2 |= in1 & bit
+                    in1 |= bit
+            if in2 != full_k or out2 != full_k:
                 continue
 
         # reverse reachability: every non-loop element must reach the
@@ -374,13 +394,14 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
 
     level_stats: list[LevelStats] = []
     for a in range(lb, cap + 1):
-        k_cap = a if limits.max_internal is None else min(a, limits.max_internal)
+        k_needed = (a - lb) // 2  # Lemma A's tail count
+        k_cap = k_needed if limits.max_internal is None else min(k_needed, limits.max_internal)
         todo = [
             (g, t_mask, k, a, bases, circuits, loops, deadline)
             for k in range(k_cap + 1)
             for t_mask in bases
         ]
-        level_complete = k_cap == a
+        level_complete = k_cap == k_needed
         candidates = 0
         found = None
 

@@ -496,15 +496,16 @@ def bounds_suite(
 
 
 # One entry per suite, in run order; each takes run_suite's keyword
-# arguments.  The lambdas look their suite up when called, so rebinding a
-# suite function in this module (as a tracer does) reaches run_suite too.
+# arguments, where a missing max_vertices means the suite's default.  The
+# lambdas look their suite up when called, so rebinding a suite function in
+# this module (as a tracer does) reaches run_suite too.
 _SUITE_CALLS = {
-    "swap-invariance": lambda max_vertices, **_: swap_invariance_suite(max_vertices or 4),
-    "standardization": lambda count, max_vertices, seed, **_: standardization_suite(
-        count, max_vertices or 6, seed
+    "swap-invariance": lambda max_vertices=4, **_: swap_invariance_suite(max_vertices),
+    "standardization": lambda count, seed, max_vertices=6, **_: standardization_suite(
+        count, max_vertices, seed
     ),
-    "surgery": lambda count, max_vertices, seed, **_: surgery_suite(count, max_vertices or 6, seed),
-    "routing-oracle": lambda max_vertices, seed, **_: routing_oracle_suite(max_vertices or 6, seed),
+    "surgery": lambda count, seed, max_vertices=6, **_: surgery_suite(count, max_vertices, seed),
+    "routing-oracle": lambda seed, max_vertices=6, **_: routing_oracle_suite(max_vertices, seed),
     "arc-values": lambda limits, **_: arc_values_suite(limits),
     "minor-complexity": lambda limits, **_: minor_complexity_suite(limits),
     "closure": lambda limits, **_: closure_suite(limits),
@@ -522,9 +523,13 @@ def run_suite(
     limits: SearchLimits | None = None,
 ) -> list[SuiteResult]:
     """Run one named suite (or "all"); sizes default to the acceptance-grade
-    parameters."""
+    parameters, and ``max_vertices=None`` picks each suite's own default."""
     if name != "all" and name not in _SUITE_CALLS:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}, all")
-    options = dict(seed=seed, count=count, max_vertices=max_vertices, limits=limits)
+    if count < 1 or (max_vertices is not None and max_vertices < 1):
+        raise ValueError(f"need count >= 1 and max_vertices >= 1, got {count} and {max_vertices}")
+    options = dict(seed=seed, count=count, limits=limits)
+    if max_vertices is not None:
+        options["max_vertices"] = max_vertices
     names = SUITE_NAMES if name == "all" else (name,)
     return [_SUITE_CALLS[entry](**options) for entry in names]

@@ -211,6 +211,26 @@ def test_check_command_routing(capsys):
     assert json.loads(capsys.readouterr().out)[0]["cases"] == 1000
 
 
+def test_run_suite_reads_only_none_as_the_default_size(monkeypatch):
+    from gammoids import suites
+
+    sizes = []
+    monkeypatch.setattr(
+        suites, "routing_oracle_suite", lambda max_vertices, seed: sizes.append(max_vertices) or []
+    )
+    suites.run_suite("routing-oracle")
+    suites.run_suite("routing-oracle", max_vertices=2)
+    assert sizes == [6, 2]
+    for name, options in [
+        ("routing-oracle", dict(max_vertices=0)),
+        ("surgery", dict(max_vertices=-2)),
+        ("standardization", dict(count=0)),
+    ]:
+        with pytest.raises(ValueError, match=">= 1"):
+            suites.run_suite(name, **options)
+    assert sizes == [6, 2]
+
+
 def test_check_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["check", "no-such-suite"])

@@ -107,7 +107,8 @@ def test_arc_complexity_trivial_matroids():
 
 
 def test_arc_complexity_small_uniforms():
-    for r, n, expected in [(1, 2, 1), (1, 3, 2), (2, 3, 2), (2, 4, 4)]:
+    cases = [(1, 2, 1), (1, 3, 2), (2, 3, 2), (2, 4, 4), (2, 5, 6), (3, 5, 6), (2, 6, 8)]
+    for r, n, expected in cases:
         cert = arc_complexity(uniform(r, n))
         assert cert.value == expected
         assert cert.search_exhaustive
@@ -137,9 +138,14 @@ def test_budget_max_arcs_too_small():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_truncation_flags_certificate(workers):
-    cert = arc_complexity(uniform(2, 4), SearchLimits(max_internal=0, workers=workers))
-    assert cert.value == 4  # witness found, minimality not certified
+    # level 5 of U(2,5) allows one internal vertex and level 6 one too;
+    # max_internal=0 skips it, so both levels are incomplete
+    cert = arc_complexity(uniform(2, 5), SearchLimits(max_internal=0, workers=workers))
+    assert cert.value == 6  # witness found, minimality not certified
     assert not cert.search_exhaustive
+    assert [(st.candidates, st.complete) for st in cert.levels] == [
+        (200, True), (150, True), (60, False), (1, False)
+    ]
 
 
 def test_wall_clock_budget():
@@ -167,9 +173,9 @@ def _pairs_except(labels, pair):
 
 
 def test_workers_do_not_change_the_result(pool_starts):
-    # U(2,5) with c parallel to e: levels of about 35k, 853k and 8 raw
-    # candidates, so the last level is big enough to run on a pool
-    m = _pairs_except("abcde", ("c", "e"))
+    # U(2,6): levels of 1,050, 840, 45,465, 51,600 and 1 raw candidates, so
+    # levels 7 and 8 are big enough to run on a pool
+    m = uniform(2, 6)
     one = arc_complexity(m, SearchLimits(workers=1))
     assert pool_starts == []
     two = arc_complexity(m, SearchLimits(workers=2))
@@ -185,12 +191,28 @@ def test_small_searches_start_no_pool(pool_starts):
     assert pool_starts == []
 
 
-def test_canonicity_filter_leaves_no_witness_below_the_value():
-    # with two internal vertices, candidates of up to 5 arcs pass the degree
-    # and reachability filters and reach the relabelling filter; U(2,5)
-    # needs 6 arcs, so the bounded search must report an exhausted budget
+def test_canonicity_filter_leaves_no_witness_below_the_value(monkeypatch):
+    # U(2,5) needs 6 arcs, so the bounded search must report an exhausted
+    # budget
     with pytest.raises(BudgetExhaustedError):
         arc_complexity(uniform(2, 5), SearchLimits(max_arcs=5, max_internal=2))
+
+    # target 0, sources 1 and 2, internals 3 and 4, six arcs: of the 210
+    # candidates two pass the degree and reachability filters, 3 and 4 both
+    # fed by one source each, and they differ only by swapping 3 and 4, so
+    # the relabelling filter passes exactly one of them on to routing
+    import gammoids.complexity as complexity
+
+    routed = []
+    real = complexity._routable_ids
+
+    def counting(succ, t_mask, xs):
+        routed.append(xs)
+        return real(succ, t_mask, xs)
+
+    monkeypatch.setattr(complexity, "_routable_ids", counting)
+    assert _search_chunk((3, 0b001, 2, 6, (0b111,), (), 0, None)) == (None, 210, True)
+    assert routed == [0b111]
 
 
 def test_candidate_routing_a_circuit_is_rejected():
@@ -203,13 +225,13 @@ def test_candidate_routing_a_circuit_is_rejected():
 
 
 def test_search_agrees_with_generate_and_test_oracle():
-    # every matroid on up to three elements, against the unfiltered
+    # every matroid on up to four elements, against the unfiltered
     # exponential oracle; the search's pruning must not change any value
     from gammoids.bruteforce import brute_arc_complexity
     from gammoids.suites import all_matroids
 
-    for size in range(4):
-        for m in all_matroids(tuple("abc"[:size])):
+    for size in range(5):
+        for m in all_matroids(tuple("abcd"[:size])):
             expected = brute_arc_complexity(len(m.ground), m.bases)
             cert = arc_complexity(m)
             assert cert.search_exhaustive
@@ -221,6 +243,36 @@ def test_search_agrees_with_oracle_on_the_four_element_uniform():
 
     m = uniform(2, 4)
     assert brute_arc_complexity(4, m.bases) == arc_complexity(m).value == 4
+
+
+# Arc complexity of each of the 406 matroids on "abcde", in the order
+# all_matroids yields them, as computed by the search before it bounded the
+# internal vertex count by Lemma A (internal vertices up to the arc count,
+# degree at least one).
+_FIVE_ELEMENT_VALUES = (
+    "000101120112122301121223122323340010112011212230112011212230112122312232"
+    "334011212231223233340112122312232333412232334233434445011212231223233341"
+    "223233423343444512232334233434445233343444534445344454555560010112011201"
+    "121223011212231223233340112122301121223122323340112122312232334122323342"
+    "333434445011212231223233412232334233343444512232334233433444523343434453"
+    "4445445454555600101120112122301121223122323340"
+)
+
+
+def test_five_element_values_and_witness_degrees():
+    from gammoids.suites import all_matroids
+
+    matroids = list(all_matroids(tuple("abcde")))
+    assert len(matroids) == len(_FIVE_ELEMENT_VALUES)
+    for m, expected in zip(matroids, _FIVE_ELEMENT_VALUES):
+        cert = arc_complexity(m)
+        assert cert.search_exhaustive
+        assert cert.value == int(expected), m
+        # Lemma A: the witness's internal vertices have in- and out-degree >= 2
+        d = cert.witness.digraph
+        for v in range(len(m.ground), d.vertex_count):
+            assert sum(1 for arc in d.arcs if arc[0] == v) >= 2, m
+            assert sum(1 for arc in d.arcs if arc[1] == v) >= 2, m
 
 
 def test_standardize_gives_search_upper_bound():
