@@ -45,6 +45,7 @@ from .complexity import (
     is_superadditive,
     kw_upper_bound,
     lower_bound,
+    search_form,
     uniform_rep,
     verify_uniform_conjecture,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "kw_upper_bound",
     "uniform_rep",
     "verify_uniform_conjecture",
+    "search_form",
     "f_width",
     "in_class",
     "is_superadditive",

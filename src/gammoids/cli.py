@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -117,6 +118,15 @@ def _at_least(low: int):
     return integer
 
 
+def _seconds(text: str) -> float:
+    """Argparse type: a finite number of seconds above 0, else a usage error;
+    a NaN deadline would never fire and an infinite one is no budget."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
 def _labels_arg(value: str) -> list[str]:
     return [part for part in (piece.strip() for piece in value.split(",")) if part]
 
@@ -193,7 +203,8 @@ def cmd_fwidth(args) -> int:
     _emit(width_report_to_dict(report, f), args.output)
     _note(
         f"width {report.value} attained at restrict={list(report.argmax[0])} "
-        f"contract={list(report.argmax[1])}"
+        f"contract={list(report.argmax[1])}; "
+        f"{report.searches} searches for {len(report.table)} minors"
     )
     return EXIT_OK if report.exhaustive else EXIT_BUDGET
 
@@ -274,7 +285,7 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
                         help="cap on the searched arc count")
     parser.add_argument("--limits.max-internal", dest="max_internal", type=_at_least(0),
                         default=None, help="cap on internal vertices per search level")
-    parser.add_argument("--limits.wall-secs", dest="wall_secs", type=float, default=None,
+    parser.add_argument("--limits.wall-secs", dest="wall_secs", type=_seconds, default=None,
                         help="total wall-clock budget in seconds")
     parser.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes for the search (default 1)")

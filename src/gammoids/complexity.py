@@ -46,6 +46,19 @@ permuted.  A candidate digraph represents the matroid iff every base routes
 into the targets and no circuit does (downward closure on one side, a
 contained circuit on the other).
 
+Lemma B (search form): ``search_form(m)`` drops the loops and coloops of m,
+renames the other elements by position, and keeps the smaller of that
+matroid and its dual; its arc complexity is that of m.  Relabelling is
+trivial, since standardness and routing never read a label.  A loop added to
+a standard representation as an isolated source reaches no target, and a
+coloop added as an isolated target routes to itself beside any routing of the
+rest, so neither adds an arc; ``restrict_representation`` deletes either
+element again and never gains arcs, so both add exactly zero arcs.
+``dual_representation`` reverses every arc of a standard representation of M
+into one of M* with the same arc count (the paper's main theorem), so
+c(M) = c(M*).  A certified value of the form therefore certifies every minor
+with that form, and ``f_width`` keys its cache on it.
+
 Widths are exact rationals throughout; no floating point is involved in any
 comparison.
 """
@@ -60,7 +73,7 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 from .digraph import Digraph, fresh_label
-from .matroid import Matroid, check_enumeration_limit, nested_minors, uniform
+from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors, uniform
 from .representation import Representation, rep_to_dict
 from .routing import _routable_ids
 
@@ -130,6 +143,7 @@ class WidthReport:
     argmax: tuple[tuple[str, ...], tuple[str, ...]]
     table: tuple[MinorEntry, ...]
     exhaustive: bool
+    searches: int  # inner searches run, i.e. width-cache misses
 
 
 # -- super-additive functions ------------------------------------------------
@@ -463,6 +477,25 @@ def verify_uniform_conjecture(r: int, n: int, limits: SearchLimits | None = None
 
 # -- widths ---------------------------------------------------------------------
 
+_POSITION_LABELS = tuple(f"{i:02d}" for i in range(ENUMERATION_LIMIT))
+
+
+def search_form(m: Matroid) -> Matroid:
+    """The matroid `m` searches as (Lemma B): loops and coloops dropped, the
+    other elements labelled "00", "01", .. in ground order, and of that
+    matroid and its dual the one with the smaller sorted base tuple.  Equal
+    for `m`, its dual, `m` plus loops or coloops, and any relabelling that
+    keeps the ground order."""
+    union, inter = 0, m.full_mask
+    for b in m.bases:
+        union |= b
+        inter &= b
+    kept = [i for i in range(len(m.ground)) if (union & ~inter) >> i & 1]
+    full = (1 << len(kept)) - 1
+    bases = sorted(sum(1 << j for j, i in enumerate(kept) if b >> i & 1) for b in m.bases)
+    cobases = sorted(full & ~b for b in bases)
+    return Matroid(_POSITION_LABELS[: len(kept)], frozenset(min(bases, cobases)))
+
 
 def f_width(
     m: Matroid,
@@ -475,8 +508,9 @@ def f_width(
     of (m contracted to Y) restricted to X, divided by f(|X|); exact rational
     arithmetic throughout.
 
-    `f` is validated super-additive on 1..2|E| first.  `arc_cache` may be
-    shared across calls to reuse inner search results.
+    `f` is validated super-additive on 1..2|E| first.  Each minor is looked
+    up, and on a miss searched, by its ``search_form`` (Lemma B); `arc_cache`
+    maps forms to ``(value, exhaustive)`` and may be shared across calls.
     """
     check_enumeration_limit(len(m.ground))
     if not is_superadditive(f, max(2 * len(m.ground), 2)):
@@ -489,16 +523,19 @@ def f_width(
     best_arg: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     entries: list[MinorEntry] = []
     exhaustive = True
+    searches = 0
     for x_labels, y_labels, minor in nested_minors(m):
-        cached = cache.get(minor)
+        form = search_form(minor)
+        cached = cache.get(form)
         remaining = None if deadline is None else deadline - time.monotonic()
         if cached is None and (remaining is None or remaining > 0):
+            searches += 1
             try:
-                cert = arc_complexity(minor, replace(limits, wall_secs=remaining))
+                cert = arc_complexity(form, replace(limits, wall_secs=remaining))
                 cached = cert.value, cert.search_exhaustive
             except BudgetExhaustedError:
                 cached = None, False
-            cache[minor] = cached
+            cache[form] = cached
         value, certified = cached or (None, False)  # out of time: not searched, not cached
         ratio = Fraction(value, f(len(x_labels))) if certified else None
         entries.append(MinorEntry(x_labels, y_labels, value, certified, ratio))
@@ -506,7 +543,9 @@ def f_width(
         if ratio is not None and ratio > best:
             best = ratio
             best_arg = (x_labels, y_labels)
-    return WidthReport(value=best, argmax=best_arg, table=tuple(entries), exhaustive=exhaustive)
+    return WidthReport(
+        value=best, argmax=best_arg, table=tuple(entries), exhaustive=exhaustive, searches=searches
+    )
 
 
 def in_class(
@@ -549,6 +588,7 @@ def width_report_to_dict(report: WidthReport, f: SuperAdditiveFn) -> dict:
     return {
         "value": str(report.value),
         "exhaustive": report.exhaustive,
+        "searches": report.searches,
         "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
         "table": [
             {

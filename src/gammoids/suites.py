@@ -359,7 +359,12 @@ def arc_values_suite(limits: SearchLimits | None = None) -> SuiteResult:
 def minor_complexity_suite(limits: SearchLimits | None = None) -> SuiteResult:
     """Every matroid on up to four labeled elements: arc complexity is
     invariant under duality and non-increasing under restriction and
-    contraction, all with exhaustive certificates."""
+    contraction, all with exhaustive certificates.
+
+    This is the unfolded check that the width cache's fold rests on (Lemma B
+    in `complexity`), so it keeps its own cache keyed on the labelled
+    matroid and searches M and M* separately, never through
+    ``search_form``."""
     t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
@@ -405,7 +410,13 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     """Closure of bounded width at desk scale, all with the built-in
     max(1, x) denominator: the width never grows under minors, is invariant
     under duality, and a direct sum's width stays below the max of the
-    summands'."""
+    summands'.
+
+    Every width here reads one shared cache keyed on ``search_form``, which
+    folds M and M* together, so the dual-width check compares widths built
+    from the same searches.  The arc-level duality evidence is the
+    minor-complexity suite, which searches both sides, and acceptance
+    criterion 5."""
     t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0

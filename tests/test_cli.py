@@ -153,8 +153,11 @@ def test_ground_sets_over_the_limit_exit_1_at_once(tmp_path, capsys):
 
 def test_fwidth_command(matroid_file, capsys):
     assert main(["fwidth", matroid_file, "--f", "fhat"]) == 0
-    blob = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    blob = json.loads(out)
     assert blob["value"] == "1/2"
+    assert blob["searches"] == 2
+    assert err.endswith("; 2 searches for 9 minors\n")
 
 
 def test_fwidth_output_does_not_depend_on_ground_order(tmp_path, capsys):
@@ -254,6 +257,10 @@ def test_usage_error_exit_code():
         ["arc-complexity", "MATROID", "--workers", "0"],
         ["conjecture-uniform", "1", "2", "--workers", "-3"],
         ["check", "routing-oracle", "--max-vertices", "x"],
+        ["arc-complexity", "MATROID", "--limits.wall-secs=nan"],
+        ["fwidth", "MATROID", "--limits.wall-secs=inf"],
+        ["fwidth", "MATROID", "--limits.wall-secs", "0"],
+        ["in-class", "MATROID", "--q", "1", "--limits.wall-secs=-1"],
     ],
 )
 def test_numeric_options_out_of_range_are_usage_errors(matroid_file, capsys, argv):
@@ -262,14 +269,16 @@ def test_numeric_options_out_of_range_are_usage_errors(matroid_file, capsys, arg
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "must be at least" in err or "invalid integer value" in err
+    reasons = ("must be at least", "invalid integer value", "must be a finite number above 0")
+    assert any(reason in err for reason in reasons)
 
 
 def test_numeric_options_accept_their_lower_bounds():
     args = cli.build_parser().parse_args(
         ["check", "all", "--max-vertices", "1", "--count", "1", "--workers", "1",
-         "--limits.max-arcs", "0", "--limits.max-internal", "0"]
+         "--limits.max-arcs", "0", "--limits.max-internal", "0", "--limits.wall-secs", "1e-3"]
     )
     assert (args.max_vertices, args.count, args.workers, args.max_arcs, args.max_internal) == (
         1, 1, 1, 0, 0
     )
+    assert args.wall_secs == 0.001

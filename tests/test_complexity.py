@@ -7,6 +7,7 @@ import pytest
 
 from gammoids.complexity import (
     BudgetExhaustedError,
+    MinorEntry,
     SearchLimits,
     SuperAdditiveFn,
     _circuits,
@@ -17,10 +18,11 @@ from gammoids.complexity import (
     is_superadditive,
     kw_upper_bound,
     lower_bound,
+    search_form,
     uniform_rep,
     verify_uniform_conjecture,
 )
-from gammoids.matroid import Matroid, direct_sum, gamma, relabel, uniform
+from gammoids.matroid import Matroid, direct_sum, dual, gamma, nested_minors, relabel, uniform
 from gammoids.representation import is_standard, standardize
 from gammoids.suites import random_representation
 
@@ -339,6 +341,82 @@ def test_width_wall_clock_truncation():
     assert not report.exhaustive
 
 
+def _unfolded_table(m, f):
+    """The width table from one arc_complexity call per labelled minor, with
+    no search form: the oracle the folded cache is checked against."""
+    values = {}
+    table = []
+    for x_labels, y_labels, minor in nested_minors(m):
+        if minor not in values:
+            cert = arc_complexity(minor)
+            values[minor] = cert.value, cert.search_exhaustive
+        value, certified = values[minor]
+        ratio = Fraction(value, f(len(x_labels))) if certified else None
+        table.append(MinorEntry(x_labels, y_labels, value, certified, ratio))
+    return tuple(table)
+
+
+def test_search_form_keeps_every_width_table_and_value():
+    # Lemma B on every matroid with at most four labels: the folded cache
+    # gives the unfolded table, and the form has the arc complexity of m
+    from gammoids.suites import all_matroids
+
+    fhat = SuperAdditiveFn.fhat()
+    for size in range(5):
+        for m in all_matroids(tuple("abcd"[:size])):
+            assert f_width(m, fhat).table == _unfolded_table(m, fhat), m
+            folded, unfolded = arc_complexity(search_form(m)), arc_complexity(m)
+            assert folded.search_exhaustive and unfolded.search_exhaustive
+            assert folded.value == unfolded.value, m
+
+
+def test_search_form_folds_duality_loops_and_coloops():
+    from gammoids.suites import all_matroids
+
+    for size in range(5):
+        for m in all_matroids(tuple("bcde"[:size])):
+            form = search_form(m)
+            assert search_form(dual(m)) == form, m
+            for extra in (uniform(0, 1), uniform(1, 1)):
+                for label in ("a", "z"):  # sorted before and after the rest
+                    assert search_form(direct_sum(m, relabel(extra, {"1": label}))) == form, m
+    assert search_form(uniform(2, 4)).ground == ("00", "01", "02", "03")
+
+
+def test_width_cache_runs_a_few_searches_on_a_four_fold_sum():
+    # U(1,2) summed four times, on two shuffled single-letter label orders
+    fhat = SuperAdditiveFn.fhat()
+    rng = random.Random(8)
+    for _ in range(2):
+        letters = rng.sample("abcdefghijklmnopqrstuvwxyz", 8)
+        m = uniform(0, 0)
+        for i in range(4):
+            pair = relabel(uniform(1, 2), {"1": letters[2 * i], "2": letters[2 * i + 1]})
+            m = direct_sum(m, pair)
+        report = f_width(m, fhat)
+        assert report.table == _unfolded_table(m, fhat)
+        assert len(report.table) == 6561 and report.searches <= 10
+        assert report.value == Fraction(1, 2) and report.exhaustive
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [SearchLimits(max_arcs=1), SearchLimits(max_arcs=2), SearchLimits(max_internal=0),
+     SearchLimits(wall_secs=0.05)],
+)
+def test_truncated_width_certifies_only_unfolded_values(limits):
+    # under any limit, a value the folded cache reports as certified is the
+    # exhaustive value of that labelled minor
+    fhat = SuperAdditiveFn.fhat()
+    pair = relabel(uniform(1, 2), {"1": "x", "2": "y"})
+    for m in (uniform(2, 4), uniform(2, 5), direct_sum(uniform(2, 3), pair)):
+        for e, exact in zip(f_width(m, fhat, limits).table, _unfolded_table(m, fhat)):
+            assert e.restrict_labels == exact.restrict_labels
+            assert e.contract_labels == exact.contract_labels
+            if e.exhaustive:
+                assert e.arcs == exact.arcs, (m, e)
+
+
 def test_width_report_serialization():
     from gammoids.complexity import width_report_to_dict
 
@@ -348,6 +426,7 @@ def test_width_report_serialization():
     assert blob["value"] == "1/2"
     assert blob["f"] == {"kind": "fhat"}
     assert len(blob["table"]) == 9  # nested subset pairs of a 2-set
+    assert blob["searches"] == report.searches == 2  # the forms of U(0,0) and U(1,2)
 
 
 def test_certificate_serialization():
