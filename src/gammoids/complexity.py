@@ -90,16 +90,14 @@ class BudgetExhaustedError(RuntimeError):
 class SearchLimits:
     """Budgets for the arc-complexity search.  ``max_arcs`` caps the deepening
     level (default: the rank/size upper bound, which is always sufficient for
-    a gammoid), ``max_internal`` caps internal vertices per level,
-    ``wall_secs`` is a total wall-clock budget, and ``workers`` is the number
-    of search processes for the levels big enough to pay for them (see
-    ``_POOL_MIN_CANDIDATES``).  Level a needs at most (a - lb) // 2 internal
-    vertices (Lemma A in the module docstring), so ``max_internal`` leaves a
-    level complete iff it is at least that.  A truncated search never claims
-    exhaustiveness."""
+    a gammoid), ``wall_secs`` is a total wall-clock budget, and ``workers`` is
+    the number of search processes for the levels big enough to pay for them
+    (see ``_POOL_MIN_CANDIDATES``).  The internal vertices a level needs
+    follow from Lemma A in the module docstring, so they are no budget.  A
+    search that either budget stops before it finds a witness raises
+    :class:`BudgetExhaustedError`; it never returns an uncertified value."""
 
     max_arcs: int | None = None
-    max_internal: int | None = None
     wall_secs: float | None = None
     workers: int = 1
 
@@ -113,13 +111,13 @@ class LevelStats:
 
 @dataclass(frozen=True)
 class ComplexityCertificate:
-    """Result of an arc-complexity search: the value, a standard witness
-    representation achieving it, and whether the completed levels prove that
-    no smaller standard representation exists."""
+    """Result of an arc-complexity search: the exact value and a standard
+    witness representation achieving it.  Every level in ``levels`` below
+    the value ran to completion, which proves that no smaller standard
+    representation exists; only the witness level may stop early."""
 
     value: int
     witness: Representation
-    search_exhaustive: bool
     levels: tuple[LevelStats, ...]
     runtime_secs: float
 
@@ -385,9 +383,10 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
 
     Deepens on the arc count from the source lower bound up to ``max_arcs``
     (default: the closed-form upper bound, sufficient whenever `m` is a
-    gammoid).  Raises :class:`BudgetExhaustedError` when the limits stop the
-    search before any representation is found; if a level had to be truncated
-    earlier, a later success is still returned but flagged non-exhaustive.
+    gammoid).  Returns the exact value or raises :class:`BudgetExhaustedError`:
+    a chunk stops early only once the deadline has passed, and a level that
+    ends without a witness then raises, so every level below a returned value
+    is complete.
     """
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
@@ -408,14 +407,12 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
 
     level_stats: list[LevelStats] = []
     for a in range(lb, cap + 1):
-        k_needed = (a - lb) // 2  # Lemma A's tail count
-        k_cap = k_needed if limits.max_internal is None else min(k_needed, limits.max_internal)
         todo = [
             (g, t_mask, k, a, bases, circuits, loops, deadline)
-            for k in range(k_cap + 1)
+            for k in range((a - lb) // 2 + 1)  # Lemma A's tail count
             for t_mask in bases
         ]
-        level_complete = k_cap == k_needed
+        level_complete = True
         candidates = 0
         found = None
 
@@ -446,11 +443,9 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
             dig = Digraph(m.ground + internal_labels, frozenset(combo))
             targets = frozenset(i for i in range(g) if t_mask >> i & 1)
             witness = Representation(dig, targets, frozenset(range(g)))
-            exhaustive = all(st.complete for st in level_stats[:-1])
             return ComplexityCertificate(
                 value=a,
                 witness=witness,
-                search_exhaustive=exhaustive,
                 levels=tuple(level_stats),
                 runtime_secs=time.perf_counter() - t0,
             )
@@ -471,8 +466,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
 def verify_uniform_conjecture(r: int, n: int, limits: SearchLimits | None = None) -> bool:
     """True iff the exhaustive search certifies that the rank-r uniform
     matroid on n elements has arc complexity exactly r * (n - r)."""
-    cert = arc_complexity(uniform(r, n), limits)
-    return cert.search_exhaustive and cert.value == r * (n - r)
+    return arc_complexity(uniform(r, n), limits).value == r * (n - r)
 
 
 # -- widths ---------------------------------------------------------------------
@@ -510,7 +504,8 @@ def f_width(
 
     `f` is validated super-additive on 1..2|E| first.  Each minor is looked
     up, and on a miss searched, by its ``search_form`` (Lemma B); `arc_cache`
-    maps forms to ``(value, exhaustive)`` and may be shared across calls.
+    maps forms to the exact arc complexity, or to None when the limits
+    stopped that search, and may be shared across calls.
     """
     check_enumeration_limit(len(m.ground))
     if not is_superadditive(f, max(2 * len(m.ground), 2)):
@@ -526,20 +521,17 @@ def f_width(
     searches = 0
     for x_labels, y_labels, minor in nested_minors(m):
         form = search_form(minor)
-        cached = cache.get(form)
         remaining = None if deadline is None else deadline - time.monotonic()
-        if cached is None and (remaining is None or remaining > 0):
+        if form not in cache and (remaining is None or remaining > 0):
             searches += 1
             try:
-                cert = arc_complexity(form, replace(limits, wall_secs=remaining))
-                cached = cert.value, cert.search_exhaustive
+                cache[form] = arc_complexity(form, replace(limits, wall_secs=remaining)).value
             except BudgetExhaustedError:
-                cached = None, False
-            cache[form] = cached
-        value, certified = cached or (None, False)  # out of time: not searched, not cached
-        ratio = Fraction(value, f(len(x_labels))) if certified else None
-        entries.append(MinorEntry(x_labels, y_labels, value, certified, ratio))
-        exhaustive &= certified
+                cache[form] = None
+        value = cache.get(form)  # out of time: not searched, not cached
+        ratio = None if value is None else Fraction(value, f(len(x_labels)))
+        entries.append(MinorEntry(x_labels, y_labels, value, value is not None, ratio))
+        exhaustive &= value is not None
         if ratio is not None and ratio > best:
             best = ratio
             best_arg = (x_labels, y_labels)
@@ -574,7 +566,7 @@ def in_class(
 def certificate_to_dict(cert: ComplexityCertificate) -> dict:
     return {
         "value": cert.value,
-        "exhaustive": cert.search_exhaustive,
+        "exhaustive": True,  # a returned certificate always is
         "witness": rep_to_dict(cert.witness),
         "levels": [
             {"arcs": st.arcs, "candidates": st.candidates, "complete": st.complete}

@@ -122,6 +122,8 @@ class Matroid:
             for lab in base:
                 if lab not in pos:
                     raise ValueError(f"base element {lab!r} is not in the ground set")
+                if mask >> pos[lab] & 1:
+                    raise ValueError(f"a base lists element {lab!r} twice")
                 mask |= 1 << pos[lab]
             masks.add(mask)
         return cls(ground, frozenset(masks))

@@ -1,5 +1,8 @@
+import argparse
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,14 @@ def test_non_matroid_input_is_rejected(tmp_path, capsys, command):
     assert "basis-exchange fails for ['a', 'b'] / ['c', 'd']" in capsys.readouterr().err
 
 
+def test_a_base_listing_a_label_twice_is_rejected(tmp_path, capsys):
+    # read as a set it would be U(1,2) plus a loop
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"ground": ["a", "b", "c"], "bases": [["a", "a"], ["b", "b"]]}))
+    assert main(["arc-complexity", str(path)]) == 1
+    assert "a base lists element 'a' twice" in capsys.readouterr().err
+
+
 def test_ground_sets_over_the_limit_exit_1_at_once(tmp_path, capsys):
     matroid = tmp_path / "u4_17.json"  # 2,380 bases: too many to check basis exchange fast
     matroid.write_text(json.dumps(matroid_to_dict(uniform(4, 17))))
@@ -190,6 +201,13 @@ def test_in_class_with_table_function(matroid_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["member"] is True  # width 1/4 under 2x
 
 
+def test_value_tables_reject_booleans(matroid_file, tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps([True, 2, 4, 6, 8, 10, 12]))
+    assert main(["fwidth", matroid_file, "--f", f"table:{table}"]) == 1
+    assert "a value table must be a JSON list of integers" in capsys.readouterr().err
+
+
 def test_conjecture_uniform_command(capsys):
     assert main(["conjecture-uniform", "1", "3"]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -240,10 +258,16 @@ def test_check_rejects_unknown_suite():
     assert exc.value.code == 2
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transform"])  # missing arguments
     assert exc.value.code == 2
+    # the search derives the internal vertices each level needs (Lemma A),
+    # so there is no option to cap them
+    with pytest.raises(SystemExit) as exc:
+        main(["arc-complexity", "m.json", "--limits.max-internal", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --limits.max-internal 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -252,7 +276,6 @@ def test_usage_error_exit_code():
         ["check", "swap-invariance", "--max-vertices", "0"],
         ["check", "surgery", "--max-vertices", "-2"],
         ["check", "surgery", "--count", "0"],
-        ["arc-complexity", "MATROID", "--limits.max-internal", "-1"],
         ["arc-complexity", "MATROID", "--limits.max-arcs", "-1"],
         ["arc-complexity", "MATROID", "--workers", "0"],
         ["conjecture-uniform", "1", "2", "--workers", "-3"],
@@ -276,9 +299,34 @@ def test_numeric_options_out_of_range_are_usage_errors(matroid_file, capsys, arg
 def test_numeric_options_accept_their_lower_bounds():
     args = cli.build_parser().parse_args(
         ["check", "all", "--max-vertices", "1", "--count", "1", "--workers", "1",
-         "--limits.max-arcs", "0", "--limits.max-internal", "0", "--limits.wall-secs", "1e-3"]
+         "--limits.max-arcs", "0", "--limits.wall-secs", "1e-3"]
     )
-    assert (args.max_vertices, args.count, args.workers, args.max_arcs, args.max_internal) == (
-        1, 1, 1, 0, 0
-    )
+    assert (args.max_vertices, args.count, args.workers, args.max_arcs) == (1, 1, 1, 0)
     assert args.wall_secs == 0.001
+
+
+def test_readme_cli_parses_and_names_only_real_options():
+    # each command of README's CLI block parses, and each backticked
+    # --option in README is an option of some sub-command
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    commands = [
+        part.split()[1:]
+        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+        for line in block.splitlines()
+        for part in line.split("#")[0].split("|")
+        if part.split()[:1] == ["gammoids"]
+    ]
+    assert commands
+    for argv in commands:
+        parser.parse_args(argv)
+
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for o in p._option_string_actions}
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    named = {
+        option
+        for span in re.findall(r"`([^`]*)`", prose)
+        for option in re.findall(r"(?<![\w-])--[\w.-]+", span)
+    }
+    assert named and named <= options, sorted(named - options)

@@ -1,7 +1,9 @@
 import concurrent.futures
 import random
+import time
+import types
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -113,7 +115,6 @@ def test_arc_complexity_small_uniforms():
     for r, n, expected in cases:
         cert = arc_complexity(uniform(r, n))
         assert cert.value == expected
-        assert cert.search_exhaustive
         assert is_standard(cert.witness)
         assert gamma(cert.witness) == uniform(r, n)
 
@@ -138,16 +139,28 @@ def test_budget_max_arcs_too_small():
         arc_complexity(uniform(2, 4), SearchLimits(max_arcs=3))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_budget_truncation_flags_certificate(workers):
-    # level 5 of U(2,5) allows one internal vertex and level 6 one too;
-    # max_internal=0 skips it, so both levels are incomplete
-    cert = arc_complexity(uniform(2, 5), SearchLimits(max_internal=0, workers=workers))
-    assert cert.value == 6  # witness found, minimality not certified
-    assert not cert.search_exhaustive
-    assert [(st.candidates, st.complete) for st in cert.levels] == [
-        (200, True), (150, True), (60, False), (1, False)
-    ]
+def test_search_returns_an_exact_value_or_raises(monkeypatch):
+    # a clock that passes the deadline at its j-th reading after the one
+    # that sets it: wherever the search is cut, it raises or certifies
+    import gammoids.complexity as complexity
+
+    outcomes = []
+    for j in (1, 2, 3, 10, 60, 100, 150, 1000):
+        readings = count()
+        clock = types.SimpleNamespace(
+            monotonic=lambda: 0.0 if next(readings) < j else 2.0,
+            perf_counter=time.perf_counter,
+        )
+        monkeypatch.setattr(complexity, "time", clock)
+        try:
+            cert = arc_complexity(uniform(2, 6), SearchLimits(wall_secs=1.0))
+        except BudgetExhaustedError:
+            outcomes.append(None)
+            continue
+        assert cert.value == 8
+        assert all(st.complete for st in cert.levels[:-1])
+        outcomes.append(cert.value)
+    assert outcomes[0] is None and outcomes[-1] == 8
 
 
 def test_wall_clock_budget():
@@ -197,7 +210,7 @@ def test_canonicity_filter_leaves_no_witness_below_the_value(monkeypatch):
     # U(2,5) needs 6 arcs, so the bounded search must report an exhausted
     # budget
     with pytest.raises(BudgetExhaustedError):
-        arc_complexity(uniform(2, 5), SearchLimits(max_arcs=5, max_internal=2))
+        arc_complexity(uniform(2, 5), SearchLimits(max_arcs=5))
 
     # target 0, sources 1 and 2, internals 3 and 4, six arcs: of the 210
     # candidates two pass the degree and reachability filters, 3 and 4 both
@@ -235,9 +248,7 @@ def test_search_agrees_with_generate_and_test_oracle():
     for size in range(5):
         for m in all_matroids(tuple("abcd"[:size])):
             expected = brute_arc_complexity(len(m.ground), m.bases)
-            cert = arc_complexity(m)
-            assert cert.search_exhaustive
-            assert cert.value == expected, m
+            assert arc_complexity(m).value == expected, m
 
 
 def test_search_agrees_with_oracle_on_the_four_element_uniform():
@@ -268,7 +279,6 @@ def test_five_element_values_and_witness_degrees():
     assert len(matroids) == len(_FIVE_ELEMENT_VALUES)
     for m, expected in zip(matroids, _FIVE_ELEMENT_VALUES):
         cert = arc_complexity(m)
-        assert cert.search_exhaustive
         assert cert.value == int(expected), m
         # Lemma A: the witness's internal vertices have in- and out-degree >= 2
         d = cert.witness.digraph
@@ -348,11 +358,9 @@ def _unfolded_table(m, f):
     table = []
     for x_labels, y_labels, minor in nested_minors(m):
         if minor not in values:
-            cert = arc_complexity(minor)
-            values[minor] = cert.value, cert.search_exhaustive
-        value, certified = values[minor]
-        ratio = Fraction(value, f(len(x_labels))) if certified else None
-        table.append(MinorEntry(x_labels, y_labels, value, certified, ratio))
+            values[minor] = arc_complexity(minor).value
+        value = values[minor]
+        table.append(MinorEntry(x_labels, y_labels, value, True, Fraction(value, f(len(x_labels)))))
     return tuple(table)
 
 
@@ -365,9 +373,7 @@ def test_search_form_keeps_every_width_table_and_value():
     for size in range(5):
         for m in all_matroids(tuple("abcd"[:size])):
             assert f_width(m, fhat).table == _unfolded_table(m, fhat), m
-            folded, unfolded = arc_complexity(search_form(m)), arc_complexity(m)
-            assert folded.search_exhaustive and unfolded.search_exhaustive
-            assert folded.value == unfolded.value, m
+            assert arc_complexity(search_form(m)).value == arc_complexity(m).value, m
 
 
 def test_search_form_folds_duality_loops_and_coloops():
@@ -401,8 +407,7 @@ def test_width_cache_runs_a_few_searches_on_a_four_fold_sum():
 
 @pytest.mark.parametrize(
     "limits",
-    [SearchLimits(max_arcs=1), SearchLimits(max_arcs=2), SearchLimits(max_internal=0),
-     SearchLimits(wall_secs=0.05)],
+    [SearchLimits(max_arcs=1), SearchLimits(max_arcs=2), SearchLimits(wall_secs=0.05)],
 )
 def test_truncated_width_certifies_only_unfolded_values(limits):
     # under any limit, a value the folded cache reports as certified is the

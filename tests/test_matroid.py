@@ -48,6 +48,8 @@ def test_construction_guards():
         Matroid(("a",), frozenset({0b10}))  # outside ground
     with pytest.raises(ValueError):
         Matroid(("b", "a"), frozenset({0b100}))  # outside ground, unsorted labels
+    with pytest.raises(ValueError, match="twice"):
+        Matroid.from_label_sets(("a", "b"), [("a", "a"), ("b", "b")])  # a repeated label
 
 
 def test_independence_and_loops():
