@@ -99,11 +99,12 @@ def _parse_f(spec: str) -> SuperAdditiveFn:
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         values = _load_json(path)
-        if not isinstance(values, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in values
-        ):
-            raise InputError(f"{path}: a value table must be a JSON list of integers")
-        return SuperAdditiveFn.from_table(values)
+        if isinstance(values, list):
+            try:
+                return SuperAdditiveFn.from_table(values)
+            except ValueError:
+                pass
+        raise InputError(f"{path}: a value table must be a JSON list of integers")
     try:
         return SuperAdditiveFn.parse(spec)
     except ValueError as exc:

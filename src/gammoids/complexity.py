@@ -40,11 +40,22 @@ finds.  Standardness itself fixes the allowed arc shapes: tails range over
 non-target ground elements and internal vertices, heads over internal
 vertices and targets.
 
-Internal vertices are anonymous, so candidates are enumerated up to
-internal-vertex relabeling only; ground elements are labeled and never
-permuted.  A candidate digraph represents the matroid iff every base routes
-into the targets and no circuit does (downward closure on one side, a
-contained circuit on the other).
+Ground elements are labeled and never permuted.  A candidate digraph
+represents the matroid iff every base routes into the targets and no circuit
+does (downward closure on one side, a contained circuit on the other).
+
+Lemma C (first appearance): internal vertices are anonymous.  Swapping two
+internals maps a chunk's candidates onto candidates of the same chunk and
+keeps the degree test, reachability and every routing result.  Scan a
+candidate's sorted arcs, tail before head, and suppose internal w first
+appears, in arc p, while a smaller internal n has not appeared yet.  Swapping
+n and w fixes every earlier arc and lowers arc p, and a sorted tuple that
+keeps the first p - 1 arcs and gains an arc below arc p is smaller.  So the
+least candidate of each relabelling class meets its internals in ascending
+order, the only order the search keeps.  The first witness of a chunk is
+least in its class (witnesses of the same chunk), so the rule never skips it;
+raw candidates are counted before any filter, so each chunk returns the
+witness and count it had without the rule.
 
 Lemma B (search form): ``search_form(m)`` drops the loops and coloops of m,
 renames the other elements by position, and keeps the smaller of that
@@ -69,11 +80,12 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable
 
 from .digraph import Digraph, fresh_label
-from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors, uniform
+from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors
+from .matroid import subset_table, uniform
 from .representation import Representation, rep_to_dict
 from .routing import _routable_ids
 
@@ -171,7 +183,10 @@ class SuperAdditiveFn:
 
     @classmethod
     def from_table(cls, values: Iterable[int]) -> "SuperAdditiveFn":
-        return cls("table", table=tuple(int(v) for v in values))
+        table = tuple(values)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in table):
+            raise ValueError("a value table must hold integers only")
+        return cls("table", table=table)
 
     @classmethod
     def parse(cls, spec: str) -> "SuperAdditiveFn":
@@ -269,14 +284,7 @@ def lower_bound(m: Matroid) -> int:
 def _circuits(m: Matroid) -> tuple[int, ...]:
     """Minimal dependent sets, as ascending bit masks over ground positions."""
     g = len(m.ground)
-    table = bytearray(1 << g)
-    for b in m.bases:
-        sub = b
-        while True:
-            table[sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & b
+    table = subset_table(g, m.bases)
     return tuple(
         x
         for x in range(1, 1 << g)
@@ -311,12 +319,9 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
     tails = [u for u in range(g + k) if not t_mask >> u & 1]  # sources, internals
     heads = [v for v in range(g + k) if v >= g or t_mask >> v & 1]  # internals, targets
     pairs = sorted((u, v) for u in tails for v in heads if u != v)
-    if len(pairs) < a:
-        return None, 0, True
 
     nonloops = ((1 << g) - 1) & ~loops
     full_k = (1 << k) - 1
-    perms = list(permutations(range(k)))[1:] if k >= 2 else []
     count = 0
     for combo in combinations(pairs, a):
         count += 1
@@ -325,12 +330,21 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
 
         if k:  # Lemma A: every internal vertex has in- and out-degree >= 2
             in1 = in2 = out1 = out2 = 0  # internals seen once, seen twice
+            nxt = g  # Lemma C: the next internal allowed to appear
             for u, v in combo:
                 if u >= g:
+                    if u >= nxt:
+                        if u > nxt:  # a first appearance: no arc counted yet,
+                            break  # so the degree test rejects the candidate
+                        nxt += 1
                     bit = 1 << (u - g)
                     out2 |= out1 & bit
                     out1 |= bit
                 if v >= g:
+                    if v >= nxt:
+                        if v > nxt:
+                            break
+                        nxt += 1
                     bit = 1 << (v - g)
                     in2 |= in1 & bit
                     in1 |= bit
@@ -347,24 +361,6 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
                     grown |= 1 << u
         if reach & ~(-1 << g) != nonloops:
             continue
-
-        if perms:
-            canonical = True
-            for perm in perms:
-                remap = tuple(
-                    sorted(
-                        (
-                            u if u < g else g + perm[u - g],
-                            v if v < g else g + perm[v - g],
-                        )
-                        for u, v in combo
-                    )
-                )
-                if remap < combo:
-                    canonical = False
-                    break
-            if not canonical:
-                continue
 
         succ = [0] * (g + k)
         for u, v in combo:

@@ -3,7 +3,7 @@ import random
 import time
 import types
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 
 import pytest
 
@@ -26,6 +26,7 @@ from gammoids.complexity import (
 )
 from gammoids.matroid import Matroid, direct_sum, dual, gamma, nested_minors, relabel, uniform
 from gammoids.representation import is_standard, standardize
+from gammoids.routing import _routable_ids
 from gammoids.suites import random_representation
 
 
@@ -61,6 +62,13 @@ def test_table_out_of_range():
     with pytest.raises(ValueError):
         f(2)
     assert not is_superadditive(f, 5)
+
+
+def test_table_values_must_be_integers():
+    for values in ([1.9, 3.2], [True, 2], ["2", 3], [1, None]):
+        with pytest.raises(ValueError):
+            SuperAdditiveFn.from_table(values)
+    assert SuperAdditiveFn.from_table(iter([1, 2])).table == (1, 2)
 
 
 def test_parse_specs():
@@ -214,8 +222,9 @@ def test_canonicity_filter_leaves_no_witness_below_the_value(monkeypatch):
 
     # target 0, sources 1 and 2, internals 3 and 4, six arcs: of the 210
     # candidates two pass the degree and reachability filters, 3 and 4 both
-    # fed by one source each, and they differ only by swapping 3 and 4, so
-    # the relabelling filter passes exactly one of them on to routing
+    # fed by one source each, and they differ only by swapping 3 and 4; in
+    # one 3 first appears before 4, so Lemma C's first-appearance rule
+    # passes exactly that one on to routing
     import gammoids.complexity as complexity
 
     routed = []
@@ -228,6 +237,91 @@ def test_canonicity_filter_leaves_no_witness_below_the_value(monkeypatch):
     monkeypatch.setattr(complexity, "_routable_ids", counting)
     assert _search_chunk((3, 0b001, 2, 6, (0b111,), (), 0, None)) == (None, 210, True)
     assert routed == [0b111]
+
+
+def _chunk_pairs(g, t_mask, k):
+    tails = [u for u in range(g + k) if not t_mask >> u & 1]
+    heads = [v for v in range(g + k) if v >= g or t_mask >> v & 1]
+    return sorted((u, v) for u in tails for v in heads if u != v)
+
+
+def _first_appearance_ascending(combo, g):
+    seen = [w for arc in combo for w in arc if w >= g]
+    firsts = sorted(set(seen), key=seen.index)
+    return firsts == sorted(firsts)
+
+
+def test_least_candidate_of_each_relabelling_class_passes_lemma_c():
+    g, t_mask = 3, 0b001
+    for k in (2, 3):
+        pairs = _chunk_pairs(g, t_mask, k)
+        relabellings = [
+            {g + i: g + j for i, j in enumerate(perm)} for perm in permutations(range(k))
+        ]
+        least = 0
+        for a in range(7):
+            for combo in combinations(pairs, a):
+                if all(
+                    tuple(sorted((p.get(u, u), p.get(v, v)) for u, v in combo)) >= combo
+                    for p in relabellings
+                ):
+                    least += 1
+                    assert _first_appearance_ascending(combo, g), combo
+        assert least > 0
+
+
+def _search_chunk_without_symmetry_rule(chunk):
+    """What `_search_chunk` returns without Lemma C: the first candidate, in
+    lexicographic order, that passes Lemma A's degree test, reachability and
+    routing, with the raw count up to it."""
+    g, t_mask, k, a, bases, circuits, loops, _ = chunk
+    nonloops = ((1 << g) - 1) & ~loops
+    count = 0
+    for combo in combinations(_chunk_pairs(g, t_mask, k), a):
+        count += 1
+        tails = [u for u, _ in combo]
+        heads = [v for _, v in combo]
+        if any(tails.count(w) < 2 or heads.count(w) < 2 for w in range(g, g + k)):
+            continue
+        reach = t_mask
+        for _ in range(g + k):
+            for u, v in combo:
+                reach |= (reach >> v & 1) << u
+        if reach & ((1 << g) - 1) != nonloops:
+            continue
+        succ = [sum(1 << v for u, v in combo if u == w) for w in range(g + k)]
+        if all(_routable_ids(succ, t_mask, b) for b in bases) and not any(
+            _routable_ids(succ, t_mask, c) for c in circuits
+        ):
+            return combo, count, True
+    return None, count, True
+
+
+def test_lemma_c_keeps_the_first_witness_and_count_of_every_chunk():
+    # every k = 2 and 3 chunk of U(1,3) and U(2,3), and every k = 2 chunk
+    # of U(2,4), U(2,4) with c parallel to d, and U(2,3) plus a loop, up to
+    # 8 or 9 arcs; most of them hold witnesses, with 2 and 3 internals
+    with_loop = Matroid.from_label_sets("abcd", [("a", "b"), ("a", "c"), ("b", "c")])
+    cases = [
+        (uniform(1, 3), (2, 3), 9),
+        (uniform(2, 3), (2, 3), 8),
+        (uniform(2, 4), (2,), 8),
+        (_pairs_except("abcd", ("c", "d")), (2,), 8),
+        (with_loop, (2,), 8),
+    ]
+    witnesses = set()
+    for m, ks, top in cases:
+        g, lb, loops = len(m.ground), lower_bound(m), m.mask_of(m.loops())
+        bases = tuple(sorted(m.bases))
+        for t_mask in bases:
+            for k in ks:
+                for a in range(lb + 2 * k, top + 1):
+                    chunk = (g, t_mask, k, a, bases, _circuits(m), loops, None)
+                    result = _search_chunk(chunk)
+                    assert result == _search_chunk_without_symmetry_rule(chunk), chunk
+                    if result[0] is not None:
+                        witnesses.add(k)
+    assert witnesses == {2, 3}
 
 
 def test_candidate_routing_a_circuit_is_rejected():

@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -160,6 +162,41 @@ def test_validate_matroid_catches_exchange_violation():
     with pytest.raises(ValueError):
         validate_matroid(bad)
     validate_matroid(uniform(2, 4))
+
+
+def _bits(mask):
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _exchange_fails(m, b1, b2):
+    """Some x in b1 - b2 has no y in b2 - b1 with b1 - x + y a base."""
+    return any(
+        all(b1 ^ x | y not in m.bases for y in _bits(b2 & ~b1)) for x in _bits(b1 & ~b2)
+    )
+
+
+def test_exchange_check_agrees_with_the_pairwise_walk():
+    # every equicardinal family on at most 5 labels, against the walk over
+    # all ordered pairs of bases; a violation must name a failing pair
+    families = valid = 0
+    for n in range(6):
+        labels = tuple("abcde"[:n])
+        for r in range(n + 1):
+            subsets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+            for fam in range(1, 1 << len(subsets)):
+                m = Matroid(labels, frozenset(s for i, s in enumerate(subsets) if fam >> i & 1))
+                families += 1
+                pairwise = any(_exchange_fails(m, b1, b2) for b1 in m.bases for b2 in m.bases)
+                try:
+                    validate_matroid(m)
+                except ValueError as exc:
+                    assert pairwise
+                    named = str(exc).split(" for ", 1)[1].split(" / ")
+                    assert _exchange_fails(m, *(m.mask_of(ast.literal_eval(b)) for b in named))
+                else:
+                    assert not pairwise
+                    valid += 1
+    assert (families, valid) == (2229, 1 + 2 + 5 + 16 + 68 + 406)  # OEIS A058673
 
 
 def test_gamma_arc_free_cases():
