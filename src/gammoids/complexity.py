@@ -57,10 +57,10 @@ least in its class (witnesses of the same chunk), so the rule never skips it;
 raw candidates are counted before any filter, so each chunk returns the
 witness and count it had without the rule.
 
-Lemma B (search form): ``search_form(m)`` drops the loops and coloops of m,
-renames the other elements by position, and keeps the smaller of that
-matroid and its dual; its arc complexity is that of m.  Relabelling is
-trivial, since standardness and routing never read a label.  A loop added to
+Lemma B (search form): ``search_form(m.bases)`` drops the loops and
+coloops of m, renames the other elements by position, and keeps the smaller
+of that matroid and its dual; its arc complexity is that of m.  Relabelling
+is trivial, since standardness and routing never read a label.  A loop added to
 a standard representation as an isolated source reaches no target, and a
 coloop added as an isolated target routes to itself beside any routing of the
 rest, so neither adds an arc; ``restrict_representation`` deletes either
@@ -68,7 +68,12 @@ element again and never gains arcs, so both add exactly zero arcs.
 ``dual_representation`` reverses every arc of a standard representation of M
 into one of M* with the same arc count (the paper's main theorem), so
 c(M) = c(M*).  A certified value of the form therefore certifies every minor
-with that form, and ``f_width`` keys its cache on it.
+with that form, and ``f_width`` keys its cache on it.  The form depends only
+on the base-mask family: the loops and coloops are exactly the positions
+outside the union or inside the intersection of the bases, and the kept
+positions compress in ascending order.  So a minor's family over the
+positions of Y, where Y - X are loops, gives the same form as the minor's
+own family over X, and ``f_width`` computes it from the former.
 
 Widths are exact rationals throughout; no floating point is involved in any
 comparison.
@@ -470,21 +475,23 @@ def verify_uniform_conjecture(r: int, n: int, limits: SearchLimits | None = None
 _POSITION_LABELS = tuple(f"{i:02d}" for i in range(ENUMERATION_LIMIT))
 
 
-def search_form(m: Matroid) -> Matroid:
-    """The matroid `m` searches as (Lemma B): loops and coloops dropped, the
-    other elements labelled "00", "01", .. in ground order, and of that
-    matroid and its dual the one with the smaller sorted base tuple.  Equal
-    for `m`, its dual, `m` plus loops or coloops, and any relabelling that
-    keeps the ground order."""
-    union, inter = 0, m.full_mask
-    for b in m.bases:
+def search_form(bases: frozenset[int]) -> Matroid:
+    """The matroid a base-mask family searches as (Lemma B): the positions in
+    every base or in none (the coloops and loops) dropped, the rest
+    compressed in ascending order and labelled "00", "01", .., and of that
+    family and its complements the one with the smaller sorted base tuple.
+    Equal for the bases of a matroid, of its dual, of it plus loops or
+    coloops, and of any relabelling that keeps the ground order."""
+    union, inter = 0, -1
+    for b in bases:
         union |= b
         inter &= b
-    kept = [i for i in range(len(m.ground)) if (union & ~inter) >> i & 1]
+    free = union & ~inter
+    kept = [i for i in range(free.bit_length()) if free >> i & 1]
     full = (1 << len(kept)) - 1
-    bases = sorted(sum(1 << j for j, i in enumerate(kept) if b >> i & 1) for b in m.bases)
-    cobases = sorted(full & ~b for b in bases)
-    return Matroid(_POSITION_LABELS[: len(kept)], frozenset(min(bases, cobases)))
+    masks = sorted(sum(1 << j for j, i in enumerate(kept) if b >> i & 1) for b in bases)
+    cobases = sorted(full & ~b for b in masks)
+    return Matroid(_POSITION_LABELS[: len(kept)], frozenset(min(masks, cobases)))
 
 
 def f_width(
@@ -498,10 +505,11 @@ def f_width(
     of (m contracted to Y) restricted to X, divided by f(|X|); exact rational
     arithmetic throughout.
 
-    `f` is validated super-additive on 1..2|E| first.  Each minor is looked
-    up, and on a miss searched, by its ``search_form`` (Lemma B); `arc_cache`
-    maps forms to the exact arc complexity, or to None when the limits
-    stopped that search, and may be shared across calls.
+    `f` is validated super-additive on 1..2|E| first.  Each minor comes from
+    ``nested_minors`` as a base-mask family and is looked up, and on a miss
+    searched, by the ``search_form`` of that family (Lemma B), computed once
+    per family; `arc_cache` maps forms to the exact arc complexity, or to
+    None when the limits stopped that search, and may be shared across calls.
     """
     check_enumeration_limit(len(m.ground))
     if not is_superadditive(f, max(2 * len(m.ground), 2)):
@@ -515,8 +523,11 @@ def f_width(
     entries: list[MinorEntry] = []
     exhaustive = True
     searches = 0
-    for x_labels, y_labels, minor in nested_minors(m):
-        form = search_form(minor)
+    forms: dict[frozenset[int], Matroid] = {}
+    for x_labels, y_labels, bases in nested_minors(m):
+        form = forms.get(bases)
+        if form is None:
+            form = forms[bases] = search_form(bases)
         remaining = None if deadline is None else deadline - time.monotonic()
         if form not in cache and (remaining is None or remaining > 0):
             searches += 1

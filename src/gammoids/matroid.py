@@ -207,16 +207,21 @@ def contract_to(m: Matroid, labels: Iterable[str]) -> Matroid:
     return _project(m, mask, m.full_mask & ~mask)
 
 
-def nested_minors(m: Matroid) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], Matroid]]:
-    """Every minor of m: for each X within Y within the ground, yield
-    ``(x_labels, y_labels, restrict(contract_to(m, Y), X))`` with the labels
-    as sorted tuples, Y and then X in ascending mask order."""
+def nested_minors(m: Matroid) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], frozenset[int]]]:
+    """Every minor of m as a base-mask family: for each X within Y within the
+    ground, yield ``(x_labels, y_labels, bases)`` with the labels as sorted
+    tuples, Y and then X in ascending mask order.  `bases` are the bases of
+    ``restrict(contract_to(m, Y), X)`` as masks over the positions of Y, so
+    the elements of Y - X appear as loops: ``restrict(Matroid(y_labels,
+    bases), x_labels)`` is that minor.  No per-minor `Matroid` is built."""
     for y in range(1 << len(m.ground)):
         contracted = contract_to(m, m.labels_of(y))
         y_labels = contracted.ground  # sorted, so the masks over it ascend as over m
         for x in range(1 << len(y_labels)):
             x_labels = tuple([lab for i, lab in enumerate(y_labels) if x >> i & 1])
-            yield x_labels, y_labels, restrict(contracted, x_labels)
+            cut = [b & x for b in contracted.bases]
+            r = max(map(int.bit_count, cut))
+            yield x_labels, y_labels, frozenset([c for c in cut if c.bit_count() == r])
 
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:

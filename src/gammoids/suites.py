@@ -429,7 +429,8 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
         cases += 1
         if dual_report.value != base_value:
             _clip(failures, f"{m!r}: width of the dual differs")
-        for x_labels, y_labels, minor in nested_minors(m):
+        for x_labels, y_labels, _ in nested_minors(m):
+            minor = restrict(contract_to(m, y_labels), x_labels)
             minor_report = f_width(minor, fhat, limits, arc_cache=cache)
             cases += 1
             if minor_report.value > base_value:

@@ -3,9 +3,16 @@ package would otherwise only surface when a traced benchmark run starts."""
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+from gammoids.matroid import direct_sum, matroid_to_dict, relabel, uniform
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = BENCH / "spans.py"
 
 
 def test_every_traced_entry_point_resolves():
@@ -16,3 +23,34 @@ def test_every_traced_entry_point_resolves():
     for module_name, func, _layer, _observe in spans.ENTRY_POINTS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, func, None)), f"{module_name}.{func} is gone"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark's `run` and `traced` modules, imported as `run.py`
+    imports its siblings, and dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = ("gate", "inputs", "spans", "run", "traced")
+    loaded = [name for name in names if name not in sys.modules]
+    yield importlib.import_module("run"), importlib.import_module("traced")
+    for name in loaded:
+        sys.modules.pop(name, None)
+
+
+def test_traced_width_run_records_every_active_layer(perfbench, tmp_path):
+    # the traced `width` benchmark fails on a layer with no span; a small
+    # fwidth run under the same tracer must record a span on each of them
+    run, traced = perfbench
+    pair = relabel(uniform(1, 2), {"1": "c", "2": "d"})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matroid_to_dict(direct_sum(uniform(1, 2), pair))))
+    spans_path, stdout_path = tmp_path / "spans.json", tmp_path / "stdout.txt"
+    argv = [str(spans_path), str(stdout_path), "fwidth", str(path), "--f", "fhat"]
+    assert traced.main(argv) == 0
+    snapshot = json.loads(spans_path.read_text())
+    silent = [
+        layer
+        for layer in run.WORKLOADS["width"].active_layers
+        if run.spans.layer_calls(snapshot, layer) == 0
+    ]
+    assert not silent

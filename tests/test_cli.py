@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gammoids import cli
 from gammoids.cli import main
@@ -330,3 +331,44 @@ def test_readme_cli_parses_and_names_only_real_options():
         for option in re.findall(r"(?<![\w-])--[\w.-]+", span)
     }
     assert named and named <= options, sorted(named - options)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+# a ground of at most five labels, some repeated, and bases that may name
+# labels outside it, repeat a label or differ in size
+_NEAR_MATROIDS = st.fixed_dictionaries(
+    {
+        "ground": st.lists(st.sampled_from("abcde"), max_size=5),
+        "bases": st.lists(st.lists(st.sampled_from("abcdef"), max_size=4), max_size=6),
+    }
+)
+_UNIFORMS = st.integers(0, 4).flatmap(
+    lambda n: st.integers(0, n).map(lambda r: matroid_to_dict(uniform(r, n)))
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(obj=_JSON_VALUES | _NEAR_MATROIDS | _UNIFORMS)
+def test_arbitrary_input_files_give_a_documented_exit_code(obj, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    for argv in (
+        ["fwidth", str(path), "--f", "fhat", "--limits.wall-secs", "2"],
+        ["arc-complexity", str(path)],
+    ):
+        capsys.readouterr()
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 3), (argv, obj)
+        if code == 0:
+            json.loads(out)

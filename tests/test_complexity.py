@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import json
 import random
 import time
 import types
@@ -23,8 +25,19 @@ from gammoids.complexity import (
     search_form,
     uniform_rep,
     verify_uniform_conjecture,
+    width_report_to_dict,
 )
-from gammoids.matroid import Matroid, direct_sum, dual, gamma, nested_minors, relabel, uniform
+from gammoids.matroid import (
+    Matroid,
+    contract_to,
+    direct_sum,
+    dual,
+    gamma,
+    nested_minors,
+    relabel,
+    restrict,
+    uniform,
+)
 from gammoids.representation import is_standard, standardize
 from gammoids.routing import _routable_ids
 from gammoids.suites import random_representation
@@ -450,7 +463,8 @@ def _unfolded_table(m, f):
     no search form: the oracle the folded cache is checked against."""
     values = {}
     table = []
-    for x_labels, y_labels, minor in nested_minors(m):
+    for x_labels, y_labels, _ in nested_minors(m):
+        minor = restrict(contract_to(m, y_labels), x_labels)
         if minor not in values:
             values[minor] = arc_complexity(minor).value
         value = values[minor]
@@ -467,7 +481,26 @@ def test_search_form_keeps_every_width_table_and_value():
     for size in range(5):
         for m in all_matroids(tuple("abcd"[:size])):
             assert f_width(m, fhat).table == _unfolded_table(m, fhat), m
-            assert arc_complexity(search_form(m)).value == arc_complexity(m).value, m
+            assert arc_complexity(search_form(m.bases)).value == arc_complexity(m).value, m
+
+
+def test_width_tables_of_a_connected_and_a_disconnected_matroid():
+    fhat = SuperAdditiveFn.fhat()
+    u13 = relabel(uniform(1, 3), {"1": "a", "2": "b", "3": "c"})
+    for m in (uniform(2, 5), direct_sum(uniform(1, 2), u13)):
+        assert f_width(m, fhat).table == _unfolded_table(m, fhat), m
+
+
+def test_form_of_a_walked_family_is_the_search_form_of_its_minor():
+    # Lemma B on base-mask families: the family over the positions of Y,
+    # with Y - X as loops, has the form of the minor built on its own
+    from gammoids.suites import all_matroids
+
+    for size in range(5):
+        for m in all_matroids(tuple("abcd"[:size])):
+            for x_labels, y_labels, bases in nested_minors(m):
+                minor = restrict(contract_to(m, y_labels), x_labels)
+                assert search_form(bases) == search_form(minor.bases), (m, x_labels, y_labels)
 
 
 def test_search_form_folds_duality_loops_and_coloops():
@@ -475,12 +508,12 @@ def test_search_form_folds_duality_loops_and_coloops():
 
     for size in range(5):
         for m in all_matroids(tuple("bcde"[:size])):
-            form = search_form(m)
-            assert search_form(dual(m)) == form, m
+            form = search_form(m.bases)
+            assert search_form(dual(m).bases) == form, m
             for extra in (uniform(0, 1), uniform(1, 1)):
                 for label in ("a", "z"):  # sorted before and after the rest
-                    assert search_form(direct_sum(m, relabel(extra, {"1": label}))) == form, m
-    assert search_form(uniform(2, 4)).ground == ("00", "01", "02", "03")
+                    assert search_form(direct_sum(m, relabel(extra, {"1": label})).bases) == form, m
+    assert search_form(uniform(2, 4).bases).ground == ("00", "01", "02", "03")
 
 
 def test_width_cache_runs_a_few_searches_on_a_four_fold_sum():
@@ -497,6 +530,19 @@ def test_width_cache_runs_a_few_searches_on_a_four_fold_sum():
         assert report.table == _unfolded_table(m, fhat)
         assert len(report.table) == 6561 and report.searches <= 10
         assert report.value == Fraction(1, 2) and report.exhaustive
+
+
+def test_four_fold_sum_width_report_is_unchanged():
+    # the JSON bytes of the width report on pairs ab, cd, ef, gh, pinned to
+    # the walk that built every minor as a Matroid
+    fhat = SuperAdditiveFn.fhat()
+    m = uniform(0, 0)
+    for pair in ("ab", "cd", "ef", "gh"):
+        m = direct_sum(m, relabel(uniform(1, 2), {"1": pair[0], "2": pair[1]}))
+    report = f_width(m, fhat)
+    blob = json.dumps(width_report_to_dict(report, fhat), indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest().startswith("e69dc70f42f9d623")
+    assert report.searches == 5
 
 
 @pytest.mark.parametrize(
@@ -517,8 +563,6 @@ def test_truncated_width_certifies_only_unfolded_values(limits):
 
 
 def test_width_report_serialization():
-    from gammoids.complexity import width_report_to_dict
-
     fhat = SuperAdditiveFn.fhat()
     report = f_width(uniform(1, 2), fhat)
     blob = width_report_to_dict(report, fhat)

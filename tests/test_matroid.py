@@ -117,9 +117,16 @@ def test_nested_minors_walk_y_then_x_in_ascending_mask_order():
         (("2",), ("1", "2")),
         (("1", "2"), ("1", "2")),
     ]
-    for x, y, minor in nested_minors(m):
-        assert minor == restrict(contract_to(m, y), x)
     assert sum(1 for _ in nested_minors(uniform(2, 4))) == 81
+
+
+def test_nested_minors_yield_each_minor_as_a_base_mask_family_over_y():
+    # the elements of Y - X are loops of the family, so restricting it to X
+    # gives the minor itself
+    for size in range(5):
+        for m in all_matroids(tuple("abcd"[:size])):
+            for x, y, bases in nested_minors(m):
+                assert restrict(Matroid(y, bases), x) == restrict(contract_to(m, y), x)
 
 
 def test_direct_sum():
