@@ -40,13 +40,25 @@ finds.  Standardness itself fixes the allowed arc shapes: tails range over
 non-target ground elements and internal vertices, heads over internal
 vertices and targets.
 
-Ground elements are labeled and never permuted.  A candidate digraph
-represents the matroid iff every base routes into the targets and no circuit
-does (downward closure on one side, a contained circuit on the other).
+Ground elements are labeled and never permuted.  A candidate with target
+base B routes B trivially and no larger set, so it represents M iff the
+r(M)-subsets of the ground that route into the targets are exactly the bases.
+
+Lemma R (reach): in a standard representation with target set B, a source x
+reaches a target t iff B - t + x routes.  Sources have no in-arcs and targets
+no out-arcs, so a path from x to t has only internal vertices inside it, and
+with the trivial paths of B - t it routes B - t + x.  Conversely, in a routing
+of B - t + x every member of B - t is a sink on its own trivial path, so the
+path of x ends at t.  A candidate thus represents M only if every source x
+reaches exactly its fan F(x) = {t in B : B - t + x is a base}; then an
+r(M)-set with at most one element outside B (B or some B - t + x) routes iff
+it is a base, and only the r(M)-sets with two or more need a flow check.  A
+loop's fan is empty and any other source's is not, so a loop reaches no
+target and every other source reaches one.
 
 Lemma C (first appearance): internal vertices are anonymous.  Swapping two
 internals maps a chunk's candidates onto candidates of the same chunk and
-keeps the degree test, reachability and every routing result.  Scan a
+keeps the degree test, every reach set and every routing result.  Scan a
 candidate's sorted arcs, tail before head, and suppose internal w first
 appears, in arc p, while a smaller internal n has not appeared yet.  Swapping
 n and w fixes every earlier arc and lowers arc p, and a sorted tuple that
@@ -89,8 +101,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .digraph import Digraph, fresh_label
-from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors
-from .matroid import subset_table, uniform
+from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors, uniform
 from .representation import Representation, rep_to_dict
 from .routing import _routable_ids
 
@@ -286,26 +297,16 @@ def lower_bound(m: Matroid) -> int:
     return len(m.ground) - len(m.loops()) - m.rank
 
 
-def _circuits(m: Matroid) -> tuple[int, ...]:
-    """Minimal dependent sets, as ascending bit masks over ground positions."""
-    g = len(m.ground)
-    table = subset_table(g, m.bases)
-    return tuple(
-        x
-        for x in range(1, 1 << g)
-        if not table[x] and all(table[x ^ (1 << i)] for i in range(g) if x >> i & 1)
-    )
-
-
 # -- the exhaustive search ------------------------------------------------------
 
 # A level runs on a process pool only if the level before it enumerated at
 # least this many raw candidates.  Starting and stopping a two-worker pool
 # takes about 10 ms (2-core x86 Linux, fork), in which the serial loop covers
-# about 20k candidates (1.4-2.4M per second on 5- and 6-element inputs); two
-# workers save at most half a level, so a level pays for its pool from about
-# 40k.  Levels grow with the arc count until the witness level, so the count
-# the search already has for the previous level is a deterministic estimate.
+# about 10k candidates (0.9-1.2M per second in serial U(2,6), U(4,6) and
+# U(3,6) searches); two workers save at most half a level, so a level pays
+# for its pool from about 20k, and the threshold keeps twice that.  Levels
+# grow with the arc count until the witness level, so the count the search
+# already has for the previous level is a deterministic estimate.
 _POOL_MIN_CANDIDATES = 40_000
 
 
@@ -315,17 +316,23 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
     number of raw candidates generated, and whether the chunk ran to
     completion.  Top-level and picklable so it can run in worker processes.
 
-    The chunk is ``(g, t_mask, k, a, bases, circuits, loops, deadline)``:
+    The chunk is ``(g, t_mask, k, a, bases, rank_sets, deadline)``:
     vertices ``0..g-1`` are the ground positions and ``g..g+k-1`` the
-    internal vertices, and every vertex set (the target base, the sorted
-    bases, the circuits, the matroid's loops) is a bit mask over them.
+    internal vertices, and every vertex set is a bit mask over them: the
+    target base, the frozenset of the matroid's bases, and ``rank_sets``,
+    every r(M)-subset of the ground in ascending order.
     """
-    (g, t_mask, k, a, bases, circuits, loops, deadline) = args
+    (g, t_mask, k, a, bases, rank_sets, deadline) = args
     tails = [u for u in range(g + k) if not t_mask >> u & 1]  # sources, internals
     heads = [v for v in range(g + k) if v >= g or t_mask >> v & 1]  # internals, targets
     pairs = sorted((u, v) for u in tails for v in heads if u != v)
 
-    nonloops = ((1 << g) - 1) & ~loops
+    # Lemma R: each ground vertex's fan (a target's is itself), and the r-sets left to flow
+    ends = [t for t in range(g) if t_mask >> t & 1]
+    fans = [sum(1 << t for t in ends if (t_mask ^ 1 << t | 1 << x) in bases) for x in range(g)]
+    far = [(s in bases, s) for s in rank_sets if (s & ~t_mask).bit_count() > 1]
+    selves = [t_mask & 1 << v for v in range(g + k)]  # a target reaches itself
+
     full_k = (1 << k) - 1
     count = 0
     for combo in combinations(pairs, a):
@@ -356,25 +363,19 @@ def _search_chunk(args) -> tuple[tuple | None, int, bool]:
             if in2 != full_k or out2 != full_k:
                 continue
 
-        # reverse reachability: every non-loop element must reach the
-        # targets, no matroid loop may
-        reach, grown = 0, t_mask
-        while grown != reach:
-            reach = grown
-            for u, v in combo:
-                if grown >> v & 1:
-                    grown |= 1 << u
-        if reach & ~(-1 << g) != nonloops:
+        # Lemma R: the targets each vertex reaches (a path has <= k + 1 arcs)
+        reach = selves.copy()
+        for _ in range(k + 1):
+            for u, v in reversed(combo):
+                reach[u] |= reach[v]
+        if reach[:g] != fans:
             continue
 
         succ = [0] * (g + k)
         for u, v in combo:
             succ[u] |= 1 << v
-        if not all(_routable_ids(succ, t_mask, base) for base in bases):
-            continue
-        if any(_routable_ids(succ, t_mask, circ) for circ in circuits):
-            continue
-        return combo, count, True
+        if all(_routable_ids(succ, t_mask, s) == is_base for is_base, s in far):
+            return combo, count, True
     return None, count, True
 
 
@@ -395,9 +396,8 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     g = len(m.ground)
     check_enumeration_limit(g)
 
-    bases = tuple(sorted(m.bases))
-    circuits = _circuits(m)
-    loops = m.mask_of(m.loops())
+    t_masks = sorted(m.bases)
+    rank_sets = tuple(s for s in range(1 << g) if s.bit_count() == m.rank)
 
     lb = lower_bound(m)
     cap = limits.max_arcs if limits.max_arcs is not None else kw_upper_bound(m.rank, g)
@@ -409,9 +409,9 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     level_stats: list[LevelStats] = []
     for a in range(lb, cap + 1):
         todo = [
-            (g, t_mask, k, a, bases, circuits, loops, deadline)
+            (g, t_mask, k, a, m.bases, rank_sets, deadline)
             for k in range((a - lb) // 2 + 1)  # Lemma A's tail count
-            for t_mask in bases
+            for t_mask in t_masks
         ]
         level_complete = True
         candidates = 0

@@ -54,3 +54,22 @@ def test_traced_width_run_records_every_active_layer(perfbench, tmp_path):
         if run.spans.layer_calls(snapshot, layer) == 0
     ]
     assert not silent
+
+
+def test_traced_search_run_records_every_active_layer(perfbench, tmp_path):
+    # Lemma R leaves the search few flow calls (one on U(2,4), none at rank
+    # 1), so the traced `search` benchmark's routing layer must still record
+    # a span on a small rank-2 search under the same tracer
+    run, traced = perfbench
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matroid_to_dict(uniform(2, 4))))
+    spans_path, stdout_path = tmp_path / "spans.json", tmp_path / "stdout.txt"
+    argv = [str(spans_path), str(stdout_path), "arc-complexity", str(path), "--workers", "1"]
+    assert traced.main(argv) == 0
+    snapshot = json.loads(spans_path.read_text())
+    silent = [
+        layer
+        for layer in run.WORKLOADS["search"].active_layers
+        if run.spans.layer_calls(snapshot, layer) == 0
+    ]
+    assert not silent

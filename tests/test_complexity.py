@@ -9,14 +9,15 @@ from itertools import combinations, count, permutations
 
 import pytest
 
+from gammoids.bruteforce import brute_rank
 from gammoids.complexity import (
     BudgetExhaustedError,
     MinorEntry,
     SearchLimits,
     SuperAdditiveFn,
-    _circuits,
     _search_chunk,
     arc_complexity,
+    certificate_to_dict,
     f_width,
     in_class,
     is_superadditive,
@@ -227,29 +228,45 @@ def test_small_searches_start_no_pool(pool_starts):
     assert pool_starts == []
 
 
-def test_canonicity_filter_leaves_no_witness_below_the_value(monkeypatch):
+@pytest.fixture
+def routed(monkeypatch):
+    """The vertex sets the search hands to the flow check, in call order."""
+    import gammoids.complexity as complexity
+
+    calls = []
+    real = complexity._routable_ids
+
+    def counting(succ, t_mask, xs):
+        calls.append(xs)
+        return real(succ, t_mask, xs)
+
+    monkeypatch.setattr(complexity, "_routable_ids", counting)
+    return calls
+
+
+def test_canonicity_filter_leaves_no_witness_below_the_value(routed):
     # U(2,5) needs 6 arcs, so the bounded search must report an exhausted
     # budget
     with pytest.raises(BudgetExhaustedError):
         arc_complexity(uniform(2, 5), SearchLimits(max_arcs=5))
 
-    # target 0, sources 1 and 2, internals 3 and 4, six arcs: of the 210
-    # candidates two pass the degree and reachability filters, 3 and 4 both
-    # fed by one source each, and they differ only by swapping 3 and 4; in
-    # one 3 first appears before 4, so Lemma C's first-appearance rule
-    # passes exactly that one on to routing
-    import gammoids.complexity as complexity
+    # rank 2 on a, b, c, d with c parallel to d, targets a and b, internals
+    # 4 and 5, six arcs: of the 3,003 candidates four pass Lemmas A and R,
+    # two mirror pairs that differ only by swapping 4 and 5, and none is a
+    # witness; in one of each pair 4 first appears before 5, so Lemma C's
+    # first-appearance rule passes exactly that one on to routing, which
+    # checks the one r-set with two elements outside the targets, {c, d}
+    routed.clear()
+    chunk = _chunk(_pairs_except("abcd", ("c", "d")), 0b0011, 2, 6)
+    assert _search_chunk(chunk) == (None, 3003, True)
+    assert routed == [0b1100, 0b1100]
 
-    routed = []
-    real = complexity._routable_ids
 
-    def counting(succ, t_mask, xs):
-        routed.append(xs)
-        return real(succ, t_mask, xs)
-
-    monkeypatch.setattr(complexity, "_routable_ids", counting)
-    assert _search_chunk((3, 0b001, 2, 6, (0b111,), (), 0, None)) == (None, 210, True)
-    assert routed == [0b111]
+def _chunk(m, t_mask, k, a):
+    """The chunk tuple `arc_complexity` builds for m, with no deadline."""
+    g = len(m.ground)
+    rank_sets = tuple(s for s in range(1 << g) if s.bit_count() == m.rank)
+    return (g, t_mask, k, a, m.bases, rank_sets, None)
 
 
 def _chunk_pairs(g, t_mask, k):
@@ -283,12 +300,23 @@ def test_least_candidate_of_each_relabelling_class_passes_lemma_c():
         assert least > 0
 
 
-def _search_chunk_without_symmetry_rule(chunk):
-    """What `_search_chunk` returns without Lemma C: the first candidate, in
-    lexicographic order, that passes Lemma A's degree test, reachability and
-    routing, with the raw count up to it."""
-    g, t_mask, k, a, bases, circuits, loops, _ = chunk
-    nonloops = ((1 << g) - 1) & ~loops
+def _circuit_masks(m):
+    """Minimal dependent sets of m, by the brute-force rank function."""
+    g = len(m.ground)
+    dependent = [brute_rank(m.bases, x) < x.bit_count() for x in range(1 << g)]
+    return [
+        x
+        for x in range(1, 1 << g)
+        if dependent[x] and not any(dependent[x ^ 1 << i] for i in range(g) if x >> i & 1)
+    ]
+
+
+def _search_chunk_without_symmetry_rule(m, t_mask, k, a):
+    """What `_search_chunk` returns for a chunk of m under the rule it had
+    before Lemmas C and R: the first candidate, in lexicographic order, that
+    passes Lemma A's degree test, routes every base and routes no circuit,
+    with the raw count up to it."""
+    g, circuits = len(m.ground), _circuit_masks(m)
     count = 0
     for combo in combinations(_chunk_pairs(g, t_mask, k), a):
         count += 1
@@ -296,14 +324,8 @@ def _search_chunk_without_symmetry_rule(chunk):
         heads = [v for _, v in combo]
         if any(tails.count(w) < 2 or heads.count(w) < 2 for w in range(g, g + k)):
             continue
-        reach = t_mask
-        for _ in range(g + k):
-            for u, v in combo:
-                reach |= (reach >> v & 1) << u
-        if reach & ((1 << g) - 1) != nonloops:
-            continue
         succ = [sum(1 << v for u, v in combo if u == w) for w in range(g + k)]
-        if all(_routable_ids(succ, t_mask, b) for b in bases) and not any(
+        if all(_routable_ids(succ, t_mask, b) for b in m.bases) and not any(
             _routable_ids(succ, t_mask, c) for c in circuits
         ):
             return combo, count, True
@@ -313,7 +335,9 @@ def _search_chunk_without_symmetry_rule(chunk):
 def test_lemma_c_keeps_the_first_witness_and_count_of_every_chunk():
     # every k = 2 and 3 chunk of U(1,3) and U(2,3), and every k = 2 chunk
     # of U(2,4), U(2,4) with c parallel to d, and U(2,3) plus a loop, up to
-    # 8 or 9 arcs; most of them hold witnesses, with 2 and 3 internals
+    # 8 or 9 arcs; most of them hold witnesses, with 2 and 3 internals.
+    # Lemma C, Lemma R and the r-set rule together return what the old
+    # rule (every base routes, no circuit does) returns with no symmetry rule
     with_loop = Matroid.from_label_sets("abcd", [("a", "b"), ("a", "c"), ("b", "c")])
     cases = [
         (uniform(1, 3), (2, 3), 9),
@@ -324,26 +348,83 @@ def test_lemma_c_keeps_the_first_witness_and_count_of_every_chunk():
     ]
     witnesses = set()
     for m, ks, top in cases:
-        g, lb, loops = len(m.ground), lower_bound(m), m.mask_of(m.loops())
-        bases = tuple(sorted(m.bases))
-        for t_mask in bases:
+        lb = lower_bound(m)
+        for t_mask in sorted(m.bases):
             for k in ks:
                 for a in range(lb + 2 * k, top + 1):
-                    chunk = (g, t_mask, k, a, bases, _circuits(m), loops, None)
-                    result = _search_chunk(chunk)
-                    assert result == _search_chunk_without_symmetry_rule(chunk), chunk
+                    result = _search_chunk(_chunk(m, t_mask, k, a))
+                    expected = _search_chunk_without_symmetry_rule(m, t_mask, k, a)
+                    assert result == expected, (m, t_mask, k, a)
                     if result[0] is not None:
                         witnesses.add(k)
     assert witnesses == {2, 3}
 
 
-def test_candidate_routing_a_circuit_is_rejected():
+def test_candidate_routing_a_circuit_is_rejected(routed):
     # rank 2 on a, b, c, d with c parallel to d: for targets {a, b} and no
-    # internal vertex the only 4-arc candidate is U(2,4)'s representation,
-    # which routes every base and also the circuit {c, d}
+    # internal vertex the only 4-arc candidate is U(2,4)'s representation;
+    # c and d each reach their fan {a, b}, so Lemma R passes it, and the
+    # circuit {c, d}, a non-base with two elements outside the targets, is
+    # the one r-set left to routing, which rejects the candidate
     m = _pairs_except("abcd", ("c", "d"))
-    chunk = (4, 0b0011, 0, 4, tuple(sorted(m.bases)), _circuits(m), 0, None)
-    assert _search_chunk(chunk) == (None, 1, True)
+    assert _search_chunk(_chunk(m, 0b0011, 0, 4)) == (None, 1, True)
+    assert routed == [0b1100]
+
+
+def _reaches(arcs, x):
+    """Vertices reachable from x, by a plain walk over the arc set."""
+    seen, todo = {x}, [x]
+    while todo:
+        u = todo.pop()
+        for tail, head in arcs:
+            if tail == u and head not in seen:
+                seen.add(head)
+                todo.append(head)
+    return seen
+
+
+def test_lemma_r_reach_is_single_exchange_on_standard_representations():
+    # Lemma R on standardized random representations: a source x reaches a
+    # target t iff B - t + x is a base
+    rng = random.Random(12)
+    pairs = 0
+    for _ in range(300):
+        rep = random_representation(rng)
+        m = gamma(rep)
+        for mask in sorted(m.bases):
+            std = standardize(rep, rep.ids_for(m.labels_of(mask)))
+            assert is_standard(std)
+            pos = {v: j for j, v in enumerate(sorted(std.ground))}
+            bases = gamma(std).bases
+            b = sum(1 << pos[t] for t in std.targets)
+            for x in std.ground - std.targets:
+                reach = _reaches(std.digraph.arcs, x)
+                for t in std.targets:
+                    exchange = b ^ 1 << pos[t] | 1 << pos[x]
+                    assert (t in reach) == (exchange in bases), (std, x, t)
+                    pairs += 1
+    assert pairs > 1000, pairs
+
+
+def test_certificates_keep_their_witnesses_and_level_counts():
+    # every certificate, runtime aside, on the matroids on up to four labels,
+    # U(2,6) and U(2,4) + U(1,2), pinned to the bytes the search gave when
+    # it still tested every base and circuit by flow
+    from gammoids.suites import all_matroids
+
+    pair = relabel(uniform(1, 2), {"1": "e", "2": "f"})
+    ms = [m for size in range(5) for m in all_matroids(tuple("abcd"[:size]))]
+    ms += [uniform(2, 6), direct_sum(relabel(uniform(2, 4), dict(zip("1234", "abcd"))), pair)]
+    certs = []
+    for m in ms:
+        cert = certificate_to_dict(arc_complexity(m))
+        del cert["runtime_secs"]
+        certs.append(cert)
+    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+    assert (len(certs), digest) == (
+        94,
+        "0afc932eb4501520b852fc67f4cfce34846c39186eeffee8ff2c620b5d708119",
+    )
 
 
 def test_search_agrees_with_generate_and_test_oracle():
