@@ -46,32 +46,32 @@ EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_rep(path: str):
+    data = _load_json(path)
     try:
-        return rep_from_dict(_load_json(path))
+        return rep_from_dict(data)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_matroid(path: str):
+    data = _load_json(path)
     try:
-        return matroid_from_dict(_load_json(path))
+        return matroid_from_dict(data)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(obj, output: str | None) -> None:
@@ -104,11 +104,8 @@ def _parse_f(spec: str) -> SuperAdditiveFn:
                 return SuperAdditiveFn.from_table(values)
             except ValueError:
                 pass
-        raise InputError(f"{path}: a value table must be a JSON list of integers")
-    try:
-        return SuperAdditiveFn.parse(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"{path}: a value table must be a JSON list of integers")
+    return SuperAdditiveFn.parse(spec)
 
 
 def _at_least(low: int):
@@ -159,14 +156,14 @@ def cmd_transform(args) -> int:
             base = rep.ids_for(_labels_arg(args.base))
         else:
             if args.op == "rebase":
-                raise InputError("rebase needs --base")
+                raise ValueError("rebase needs --base")
             m = before if before is not None else gamma(rep)
             base = rep.ids_for(m.labels_of(min(m.bases)))
         out = standardize(rep, base) if args.op == "standardize" else rebase(rep, base)
         expect = lambda m: m  # both keep the represented matroid
     elif args.op in ("restrict", "contract"):
         if subset_labels is None:
-            raise InputError(f"{args.op} needs --subset")
+            raise ValueError(f"{args.op} needs --subset")
         xs = rep.ids_for(subset_labels)
         if args.op == "restrict":
             out = restrict_representation(rep, xs)
@@ -175,7 +172,7 @@ def cmd_transform(args) -> int:
             out = contract_representation(rep, xs)
             expect = lambda m: matroid_contract_to(m, subset_labels)
     else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown transform {args.op!r}")
+        raise ValueError(f"unknown transform {args.op!r}")
 
     if args.verify:
         if gamma(out) != expect(before):
@@ -213,7 +210,7 @@ def cmd_in_class(args) -> int:
     try:
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"--q {args.q!r} is not a rational number") from exc
+        raise ValueError(f"--q {args.q!r} is not a rational number") from exc
     member = in_class(m, f, q, _limits(args))
     _emit({"member": member, "q": str(q), "f": f.describe()}, args.output)
     _note(f"membership: {member}")
@@ -357,9 +354,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        _note(f"error: {exc}")
-        return EXIT_INPUT
     except BudgetExhaustedError as exc:
         _note(f"budget exhausted: {exc}")
         _emit({"error": "budget-exhausted", "message": str(exc)}, getattr(args, "output", None))

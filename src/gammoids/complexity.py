@@ -494,48 +494,45 @@ def search_form(bases: frozenset[int]) -> Matroid:
     return Matroid(_POSITION_LABELS[: len(kept)], frozenset(min(masks, cobases)))
 
 
-def f_width(
-    m: Matroid,
-    f: SuperAdditiveFn,
-    limits: SearchLimits | None = None,
-    *,
-    arc_cache: dict | None = None,
-) -> WidthReport:
+def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) -> WidthReport:
     """Maximum over all nested ground subsets X within Y of the arc complexity
     of (m contracted to Y) restricted to X, divided by f(|X|); exact rational
     arithmetic throughout.
 
     `f` is validated super-additive on 1..2|E| first.  Each minor comes from
-    ``nested_minors`` as a base-mask family and is looked up, and on a miss
-    searched, by the ``search_form`` of that family (Lemma B), computed once
-    per family; `arc_cache` maps forms to the exact arc complexity, or to
-    None when the limits stopped that search, and may be shared across calls.
+    ``nested_minors`` as a base-mask family and costs one lookup in a dict
+    from family to arc value, private to this call.  A family is filled the
+    first time it is seen, from the value of its ``search_form`` (Lemma B):
+    searched once per form while time remains, None when the limits stopped
+    that search or the deadline had passed before it.
     """
     check_enumeration_limit(len(m.ground))
     if not is_superadditive(f, max(2 * len(m.ground), 2)):
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
-    cache = arc_cache if arc_cache is not None else {}
 
     best = Fraction(0)
     best_arg: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     entries: list[MinorEntry] = []
     exhaustive = True
     searches = 0
-    forms: dict[frozenset[int], Matroid] = {}
+    by_form: dict[Matroid, int | None] = {}
+    by_family: dict[frozenset[int], int | None] = {}
     for x_labels, y_labels, bases in nested_minors(m):
-        form = forms.get(bases)
-        if form is None:
-            form = forms[bases] = search_form(bases)
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if form not in cache and (remaining is None or remaining > 0):
-            searches += 1
-            try:
-                cache[form] = arc_complexity(form, replace(limits, wall_secs=remaining)).value
-            except BudgetExhaustedError:
-                cache[form] = None
-        value = cache.get(form)  # out of time: not searched, not cached
+        try:
+            value = by_family[bases]
+        except KeyError:
+            form = search_form(bases)
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if form not in by_form and (remaining is None or remaining > 0):
+                searches += 1
+                try:
+                    by_form[form] = arc_complexity(form, replace(limits, wall_secs=remaining)).value
+                except BudgetExhaustedError:
+                    by_form[form] = None
+            # a form left unsearched past the deadline would stay so: keep None
+            value = by_family[bases] = by_form.get(form)
         ratio = None if value is None else Fraction(value, f(len(x_labels)))
         entries.append(MinorEntry(x_labels, y_labels, value, value is not None, ratio))
         exhaustive &= value is not None

@@ -71,10 +71,6 @@ class Matroid:
         return next(iter(self.bases)).bit_count()
 
     @property
-    def size(self) -> int:
-        return len(self.ground)
-
-    @property
     def full_mask(self) -> int:
         return (1 << len(self.ground)) - 1
 

@@ -69,16 +69,20 @@ class Representation:
 def standard_defects(rep: Representation) -> list[str]:
     """Human-readable list of violated standardness conditions (empty if none):
     targets inside the ground set, targets all sinks, non-target ground all
-    sources."""
+    sources.  Loops count as both out- and in-arcs."""
     defects = []
     d = rep.digraph
+    tails, heads = set(), set()
+    for u, v in d.arcs:
+        tails.add(u)
+        heads.add(v)
     if not rep.targets <= rep.ground:
         extra = sorted(d.labels[v] for v in rep.targets - rep.ground)
         defects.append(f"targets {extra} lie outside the ground set")
-    bad_sinks = sorted(d.labels[t] for t in rep.targets if not d.is_sink(t))
+    bad_sinks = sorted(d.labels[t] for t in rep.targets & tails)
     if bad_sinks:
         defects.append(f"targets {bad_sinks} have outgoing arcs (must be sinks)")
-    bad_sources = sorted(d.labels[e] for e in rep.ground - rep.targets if not d.is_source(e))
+    bad_sources = sorted(d.labels[e] for e in (rep.ground - rep.targets) & heads)
     if bad_sources:
         defects.append(f"ground elements {bad_sources} have incoming arcs (must be sources)")
     return defects
@@ -113,7 +117,7 @@ def dual_representation(rep: Representation) -> Representation:
 # -- swap sequences -----------------------------------------------------------
 
 
-def _run_swaps(d: Digraph, targets: frozenset[int], routing: Routing) -> tuple[Digraph, frozenset[int]]:
+def _run_swaps(d: Digraph, targets: frozenset[int], routing: Routing) -> Digraph:
     """Swap every arc of `routing`, path by path in stored order, each path in
     reverse order of traversal, replacing each swapped arc's head by its tail
     in the evolving target set.
@@ -136,7 +140,7 @@ def _run_swaps(d: Digraph, targets: frozenset[int], routing: Routing) -> tuple[D
             cur = swap(cur, r, s)
             tcur.discard(s)
             tcur.add(r)
-    return cur, frozenset(tcur)
+    return cur
 
 
 def swap_sequence(rep: Representation, routing: Routing) -> Representation:
@@ -160,7 +164,7 @@ def swap_sequence(rep: Representation, routing: Routing) -> Representation:
         raise NotABaseError(
             f"routing starts {sorted(starts)} have size {len(starts)}, rank is {rank}"
         )
-    swapped, _ = _run_swaps(d, rep.targets, routing)
+    swapped = _run_swaps(d, rep.targets, routing)
     keep_sinks = starts & rep.targets
     arcs = frozenset((u, v) for (u, v) in swapped.arcs if u not in keep_sinks)
     return Representation(Digraph(d.labels, arcs), starts, rep.ground)
@@ -232,7 +236,7 @@ def restrict_representation(rep: Representation, xs: Iterable[int]) -> Represent
         return Representation(d, rep.targets, xs)
     lost = rep.targets - xs
     routing = max_routing(d, xs, lost)
-    swapped, _ = _run_swaps(d, rep.targets, routing)
+    swapped = _run_swaps(d, rep.targets, routing)
     new_targets = (rep.targets & xs) | routing.starts()
     return Representation(swapped, new_targets, xs)
 

@@ -398,16 +398,15 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     under duality, and a direct sum's width stays below the max of the
     summands'.
 
-    Every width here reads one shared cache keyed on ``search_form``, which
-    folds M and M* together, so the dual-width check compares widths built
-    from the same searches.  The arc-level duality evidence is the
+    Each width runs its own searches, so the dual-width check compares
+    widths searched apart, though ``search_form`` folds M and M* into one
+    matroid within a call.  The arc-level duality evidence is the
     minor-complexity suite, which searches both sides, and acceptance
     criterion 5."""
     t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
     fhat = SuperAdditiveFn.fhat()
-    cache: dict = {}
 
     singles = [
         uniform(1, 2),
@@ -418,20 +417,20 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     ]
     widths = {}
     for m in singles:
-        report = f_width(m, fhat, limits, arc_cache=cache)
+        report = f_width(m, fhat, limits)
         widths[m] = report
         if not report.exhaustive:
             _clip(failures, f"{m!r}: width search not exhaustive")
 
     for m in singles:
         base_value = widths[m].value
-        dual_report = f_width(dual(m), fhat, limits, arc_cache=cache)
+        dual_report = f_width(dual(m), fhat, limits)
         cases += 1
         if dual_report.value != base_value:
             _clip(failures, f"{m!r}: width of the dual differs")
         for x_labels, y_labels, _ in nested_minors(m):
             minor = restrict(contract_to(m, y_labels), x_labels)
-            minor_report = f_width(minor, fhat, limits, arc_cache=cache)
+            minor_report = f_width(minor, fhat, limits)
             cases += 1
             if minor_report.value > base_value:
                 _clip(
@@ -448,9 +447,9 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     for m, n in pairs:
         n = relabel(n, {lab: lab + "*" for lab in n.ground})
         s = direct_sum(m, n)
-        rm = f_width(m, fhat, limits, arc_cache=cache)
-        rn = f_width(n, fhat, limits, arc_cache=cache)
-        rs = f_width(s, fhat, limits, arc_cache=cache)
+        rm = f_width(m, fhat, limits)
+        rn = f_width(n, fhat, limits)
+        rs = f_width(s, fhat, limits)
         cases += 1
         if not (rm.exhaustive and rn.exhaustive and rs.exhaustive):
             _clip(failures, f"sum {m!r} + {n!r}: width search not exhaustive")

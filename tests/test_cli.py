@@ -233,6 +233,15 @@ def test_check_command_routing(capsys):
     assert json.loads(capsys.readouterr().out)[0]["cases"] == 1000
 
 
+def test_run_suite_all_case_counts():
+    from gammoids import suites
+
+    results = suites.run_suite("all", seed=1, count=50, max_vertices=3)
+    assert [r.name for r in results] == list(suites.SUITE_NAMES)
+    assert [r.cases for r in results] == [3088, 54, 153, 1000, 16, 92, 180, 15]
+    assert all(r.passed for r in results)
+
+
 def test_run_suite_reads_only_none_as_the_default_size(monkeypatch):
     from gammoids import suites
 

@@ -60,6 +60,31 @@ def test_targets_outside_ground_are_a_defect():
     assert any("outside the ground set" in msg for msg in standard_defects(rep))
 
 
+@pytest.mark.parametrize(
+    "n, arcs, targets, ground, expected",
+    [
+        # a target whose only out-arc is a loop is no sink
+        (2, [(0, 0)], {0}, {0, 1}, ["targets ['v0'] have outgoing arcs (must be sinks)"]),
+        # a non-target ground element whose only in-arc is a loop is no source
+        (2, [(1, 1)], {0}, {0, 1}, ["ground elements ['v1'] have incoming arcs (must be sources)"]),
+        (
+            3,
+            [(0, 2), (2, 1)],
+            {0},
+            {1},
+            [
+                "targets ['v0'] lie outside the ground set",
+                "targets ['v0'] have outgoing arcs (must be sinks)",
+                "ground elements ['v1'] have incoming arcs (must be sources)",
+            ],
+        ),
+    ],
+)
+def test_standard_defects_full_list(n, arcs, targets, ground, expected):
+    rep = Representation(Digraph.build(n, arcs), frozenset(targets), frozenset(ground))
+    assert standard_defects(rep) == expected
+
+
 # -- duality --------------------------------------------------------------------
 
 
