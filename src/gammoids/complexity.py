@@ -26,10 +26,19 @@ them:
   out-degree at least two;
 * a loop can never be traversed, so dropping one also preserves everything.
 
-Counting arcs by their tails bounds the internal vertex count: tails are
-non-target ground elements and internal vertices, each of the lb non-loop
-sources (see ``lower_bound``) needs an out-arc, and each of the k internal
-vertices has at least two, so a >= lb + 2k, that is k <= (a - lb) // 2.
+Counting arcs by either end bounds the internal vertex count.  Let r be the
+rank, U the union of the bases (the non-loops) and I their intersection (the
+coloops), and let k be the number of internal vertices.  Tails are sources
+and internal vertices: a non-loop source x lies in some base, so by exchange
+in some base B - t + x, which routes, so x has an out-arc; each internal
+vertex has at least two, so a >= |U| - r + 2k.  Heads are targets and
+internal vertices: a target t that is no coloop is missed by some base B',
+and B' routes onto all r targets, so the path that ends at t starts at an
+element of B' other than t, has at least one arc, and enters t by an in-arc;
+each internal vertex has at least two, so a >= r - |I| + 2k.  With lb the
+larger count (``lower_bound``), k <= (a - lb) // 2.  The cobases have union
+E - I and rank |E| - r, so duality swaps the two counts, and M and M*
+search the same levels.
 
 Iterative deepening on the arc count hence only needs, at level a,
 candidates with at most (a - lb) // 2 internal vertices, no loops, and
@@ -290,11 +299,23 @@ def uniform_rep(r: int, n: int) -> Representation:
     return Representation(Digraph(labels, arcs), frozenset(range(r)), frozenset(range(n)))
 
 
+def _union_and_intersection(bases: Iterable[int]) -> tuple[int, int]:
+    """The OR and the AND of a base-mask family: its non-loops and its
+    coloops (the AND of no masks is -1, every position)."""
+    union, inter = 0, -1
+    for b in bases:
+        union |= b
+        inter &= b
+    return union, inter
+
+
 def lower_bound(m: Matroid) -> int:
-    """Arcs any standard representation needs: its targets form a base, and
-    every non-loop element outside that base must reach the targets, so it
-    has an out-arc of its own.  The count is the same for every base."""
-    return len(m.ground) - len(m.loops()) - m.rank
+    """Arcs any standard representation needs, counted from either end
+    (Lemma A in the module docstring): every non-loop source has an out-arc
+    and every non-coloop target an in-arc.  The count is the same for every
+    target base and for the dual."""
+    union, inter = _union_and_intersection(m.bases)
+    return max(union.bit_count() - m.rank, m.rank - inter.bit_count())
 
 
 # -- the exhaustive search ------------------------------------------------------
@@ -383,7 +404,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     """Exhaustive iterative-deepening search for an arc-minimal standard
     representation of `m`.
 
-    Deepens on the arc count from the source lower bound up to ``max_arcs``
+    Deepens on the arc count from ``lower_bound`` up to ``max_arcs``
     (default: the closed-form upper bound, sufficient whenever `m` is a
     gammoid).  Returns the exact value or raises :class:`BudgetExhaustedError`:
     a chunk stops early only once the deadline has passed, and a level that
@@ -410,7 +431,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     for a in range(lb, cap + 1):
         todo = [
             (g, t_mask, k, a, m.bases, rank_sets, deadline)
-            for k in range((a - lb) // 2 + 1)  # Lemma A's tail count
+            for k in range((a - lb) // 2 + 1)  # Lemma A, counted from both ends
             for t_mask in t_masks
         ]
         level_complete = True
@@ -482,10 +503,7 @@ def search_form(bases: frozenset[int]) -> Matroid:
     family and its complements the one with the smaller sorted base tuple.
     Equal for the bases of a matroid, of its dual, of it plus loops or
     coloops, and of any relabelling that keeps the ground order."""
-    union, inter = 0, -1
-    for b in bases:
-        union |= b
-        inter &= b
+    union, inter = _union_and_intersection(bases)
     free = union & ~inter
     kept = [i for i in range(free.bit_length()) if free >> i & 1]
     full = (1 << len(kept)) - 1

@@ -67,22 +67,6 @@ class Digraph:
                 out[u] |= 1 << v
         return tuple(out)
 
-    def out_degree(self, v: int) -> int:
-        """Number of arcs leaving ``v``; loops count, so a looped vertex is no sink."""
-        return sum(1 for u, _ in self.arcs if u == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for _, w in self.arcs if w == v)
-
-    def is_sink(self, v: int) -> bool:
-        return self.out_degree(v) == 0
-
-    def is_source(self, v: int) -> bool:
-        return self.in_degree(v) == 0
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def ids(self, labels: Iterable[str]) -> frozenset[int]:
         """Map a collection of labels to vertex ids, rejecting unknown labels."""
         idx = self.label_to_id

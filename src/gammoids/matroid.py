@@ -7,9 +7,9 @@ equality and hash compare labels and labelled bases, every emitted ground
 list is in sorted label order, and representation surgery can rename or
 re-order vertices without disturbing element identity.
 
-Bases are the canonical stored form; independence is answered by a
-subset-of-some-base query.  This is compact and sufficient for the desk
-scale this library targets (|E| <= 16).
+Bases are the canonical stored form; rank, duals and minors are read off
+the base masks.  This is compact and sufficient for the desk scale this
+library targets (|E| <= 16).
 """
 
 from __future__ import annotations
@@ -85,21 +85,8 @@ class Matroid:
     def labels_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.ground[i] for i in range(len(self.ground)) if mask >> i & 1)
 
-    def independent_mask(self, mask: int) -> bool:
-        return any(mask & ~b == 0 for b in self.bases)
-
-    def independent(self, labels: Iterable[str]) -> bool:
-        return self.independent_mask(self.mask_of(labels))
-
     def rank_of_mask(self, mask: int) -> int:
         return max((b & mask).bit_count() for b in self.bases)
-
-    def loops(self) -> frozenset[str]:
-        """Elements contained in no base, i.e. never independent."""
-        union = 0
-        for b in self.bases:
-            union |= b
-        return self.labels_of(self.full_mask & ~union)
 
     def bases_label_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(self.labels_of(b) for b in self.bases)

@@ -311,8 +311,7 @@ def arc_values_suite(limits: SearchLimits | None = None) -> SuiteResult:
     certificates: list[tuple[Matroid, ComplexityCertificate]] = []
     checks: list[tuple[int, int]] = []
     for n in range(6):
-        checks.append((n, n))
-        checks.append((0, n))
+        checks += [(n, n), (0, n)] if n else [(0, 0)]
     checks += [(1, 2), (1, 3), (2, 3), (2, 4)]
     timings = {}
     for r, n in checks:

@@ -125,6 +125,17 @@ def test_arc_complexity_budget_exit(tmp_path, capsys):
     assert blob["error"] == "budget-exhausted"
 
 
+def test_arc_complexity_cap_below_the_heads_bound_exits_at_once(tmp_path, capsys):
+    # U(4,6) has two sources but needs an in-arc at each of its four
+    # targets, so a cap of 3 arcs is refused before any level is searched
+    path = tmp_path / "u46.json"
+    path.write_text(json.dumps(matroid_to_dict(uniform(4, 6))))
+    assert main(["arc-complexity", str(path), "--limits.max-arcs", "3"]) == 3
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["error"] == "budget-exhausted"
+    assert "below the lower bound 4" in blob["message"]
+
+
 @pytest.mark.parametrize("command", [["arc-complexity"], ["fwidth"], ["in-class", "--q", "1"]])
 def test_non_matroid_input_is_rejected(tmp_path, capsys, command):
     path = tmp_path / "not_a_matroid.json"
@@ -238,7 +249,7 @@ def test_run_suite_all_case_counts():
 
     results = suites.run_suite("all", seed=1, count=50, max_vertices=3)
     assert [r.name for r in results] == list(suites.SUITE_NAMES)
-    assert [r.cases for r in results] == [3088, 54, 153, 1000, 16, 92, 180, 15]
+    assert [r.cases for r in results] == [3088, 54, 153, 1000, 15, 92, 180, 15]
     assert all(r.passed for r in results)
 
 

@@ -121,6 +121,10 @@ def test_lower_bound_counts_nonloop_sources():
     assert lower_bound(uniform(1, 2)) == 1
     assert lower_bound(uniform(2, 4)) == 2
     assert lower_bound(Matroid.from_label_sets(("a", "b", "c"), [("a",), ("b",)])) == 1  # c is a loop
+    # heads: every target that is no coloop needs an in-arc
+    assert lower_bound(uniform(2, 3)) == 2
+    assert lower_bound(uniform(4, 6)) == 4
+    assert lower_bound(Matroid.from_label_sets(("a", "b", "c"), [("a", "b"), ("a", "c")])) == 1  # a is a coloop
 
 
 # -- arc complexity ---------------------------------------------------------------
@@ -348,7 +352,10 @@ def test_lemma_c_keeps_the_first_witness_and_count_of_every_chunk():
     ]
     witnesses = set()
     for m, ks, top in cases:
-        lb = lower_bound(m)
+        union = 0
+        for b in m.bases:
+            union |= b
+        lb = union.bit_count() - m.rank  # tails only, so chunks past the heads' cap stay checked
         for t_mask in sorted(m.bases):
             for k in ks:
                 for a in range(lb + 2 * k, top + 1):
@@ -408,8 +415,10 @@ def test_lemma_r_reach_is_single_exchange_on_standard_representations():
 
 def test_certificates_keep_their_witnesses_and_level_counts():
     # every certificate, runtime aside, on the matroids on up to four labels,
-    # U(2,6) and U(2,4) + U(1,2), pinned to the bytes the search gave when
-    # it still tested every base and circuit by flow
+    # U(2,6) and U(2,4) + U(1,2).  Without their levels they are pinned to
+    # the bytes the search gave when it still tested every base and circuit
+    # by flow; the levels are pinned as Lemma A counted from both ends left
+    # them (no level below max(lb, lb*), no chunk with k > (a - lb*) // 2)
     from gammoids.suites import all_matroids
 
     pair = relabel(uniform(1, 2), {"1": "e", "2": "f"})
@@ -423,8 +432,30 @@ def test_certificates_keep_their_witnesses_and_level_counts():
     digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
     assert (len(certs), digest) == (
         94,
-        "0afc932eb4501520b852fc67f4cfce34846c39186eeffee8ff2c620b5d708119",
+        "8c8ee25b53dae2244a8006569199204c1058443daf42cf07154e36352036784c",
     )
+    for cert in certs:
+        del cert["levels"]
+    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+    assert digest == "0d7f28faa17a7df4c7383f3c6c662c2fc4c8cdf73f785228793e2c1a4e2eec7f"
+
+
+def test_dual_searches_enumerate_the_same_levels():
+    # Lemma A from both ends gives M and M* the same lower bound and the
+    # same internal-vertex cap, so every level below the value enumerates
+    # the same count on both sides; the witness level may stop at another
+    # chunk, since chunks follow the sorted bases
+    from gammoids.suites import all_matroids
+
+    ms = [m for size in range(5) for m in all_matroids(tuple("abcd"[:size]))]
+    ms += [uniform(r, 5) for r in range(6)] + [uniform(r, 6) for r in range(7) if r != 3]
+    assert len(ms) == 104
+    for m in ms:
+        assert lower_bound(m) == lower_bound(dual(m)), m
+        one, other = arc_complexity(m), arc_complexity(dual(m))
+        assert one.value == other.value, m
+        below = [(st.arcs, st.candidates) for st in one.levels[:-1]]
+        assert below == [(st.arcs, st.candidates) for st in other.levels[:-1]], m
 
 
 def test_search_agrees_with_generate_and_test_oracle():

@@ -24,7 +24,6 @@ def digraphs(draw, max_vertices=5):
 def test_build_and_queries():
     d = Digraph.build(["a", "b", "c"], [(0, 1), (1, 2)])
     assert d.vertex_count == 3
-    assert d.has_arc(0, 1) and not d.has_arc(1, 0)
     assert d.successors == (0b010, 0b100, 0)  # out-neighbour masks
     assert d.ids(["a", "c"]) == frozenset({0, 2})
     assert d.label_set({0, 2}) == frozenset({"a", "c"})
@@ -46,12 +45,8 @@ def test_unknown_label_rejected():
         d.ids(["missing"])
 
 
-def test_degrees_count_loops():
+def test_successors_drop_loops():
     d = Digraph.build(2, [(0, 0), (0, 1)])
-    assert d.out_degree(0) == 2
-    assert d.in_degree(0) == 1
-    assert not d.is_sink(0)
-    # the routing view drops the loop
     assert d.successors[0] == 0b10
 
 

@@ -56,9 +56,10 @@ def test_construction_guards():
 
 def test_independence_and_loops():
     m = Matroid.from_label_sets(("a", "b", "c"), [("a",), ("b",)])
-    assert m.independent(["a"]) and m.independent([])
-    assert not m.independent(["a", "b"])
-    assert m.loops() == frozenset({"c"})
+    # a set is independent iff its rank is its size; a loop has rank 0
+    assert m.rank_of_mask(m.mask_of(["a"])) == 1 and m.rank_of_mask(0) == 0
+    assert m.rank_of_mask(m.mask_of(["a", "b"])) == 1
+    assert m.rank_of_mask(m.mask_of(["c"])) == 0
 
 
 def test_dual_examples():
