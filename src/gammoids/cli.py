@@ -2,8 +2,10 @@
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr, so the
 tool composes in pipelines.  Exit codes: 0 success/verified, 1 bad input
-files, 2 usage errors (argparse), 3 search budget exhausted, 4 a checked
-property or verification failed.
+files or output that cannot be written (an unwritable ``-o`` path prints
+``error: cannot write <path>: ..``; a stdout closed early, as by ``| head``,
+exits quietly), 2 usage errors (argparse), 3 search budget exhausted, 4 a
+checked property or verification failed.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -18,11 +21,12 @@ from .complexity import (
     BudgetExhaustedError,
     SearchLimits,
     SuperAdditiveFn,
+    WidthReport,
     arc_complexity,
     certificate_to_dict,
     f_width,
     in_class,
-    width_report_to_dict,
+    width_report_json,
 )
 from .matroid import gamma, matroid_from_dict, matroid_to_dict, uniform, validate_matroid
 from .matroid import contract_to as matroid_contract_to
@@ -75,12 +79,18 @@ def _load_matroid(path: str):
 
 
 def _emit(obj, output: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    """Encode `obj` as 2-space-indented JSON and write it; a width report
+    goes through its row writer, which gives the same bytes faster."""
+    text = width_report_json(obj) if isinstance(obj, WidthReport) else json.dumps(obj, indent=2)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc}") from exc
     else:
-        print(text)
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()  # a closed pipe raises here, inside main
 
 
 def _note(message: str) -> None:
@@ -195,7 +205,7 @@ def cmd_fwidth(args) -> int:
     m = _load_matroid(args.matroid)
     f = _parse_f(args.f)
     report = f_width(m, f, _limits(args))
-    _emit(width_report_to_dict(report, f), args.output)
+    _emit(report, args.output)
     _note(
         f"width {report.value} attained at restrict={list(report.argmax[0])} "
         f"contract={list(report.argmax[1])}; "
@@ -353,13 +363,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except BudgetExhaustedError as exc:
-        _note(f"budget exhausted: {exc}")
-        _emit({"error": "budget-exhausted", "message": str(exc)}, getattr(args, "output", None))
-        return EXIT_BUDGET
+        try:
+            return args.func(args)
+        except BudgetExhaustedError as exc:
+            _note(f"budget exhausted: {exc}")
+            _emit({"error": "budget-exhausted", "message": str(exc)}, getattr(args, "output", None))
+            return EXIT_BUDGET
     except ValueError as exc:
         _note(f"error: {exc}")
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull, as the `signal` docs
+        # advise, so that the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
 
 

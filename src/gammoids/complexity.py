@@ -102,6 +102,7 @@ comparison.
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -179,6 +180,7 @@ class WidthReport:
     table: tuple[MinorEntry, ...]
     exhaustive: bool
     searches: int  # inner searches run, i.e. width-cache misses
+    f: SuperAdditiveFn  # the denominator the ratios divide by
 
 
 # -- super-additive functions ------------------------------------------------
@@ -523,6 +525,11 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
     first time it is seen, from the value of its ``search_form`` (Lemma B):
     searched once per form while time remains, None when the limits stopped
     that search or the deadline had passed before it.
+
+    The argmax is the first maximising minor in walk order.  Each distinct
+    (arc value, |X|) pair builds its ratio once and is compared with the best
+    so far only then: a repeated pair is already at most the best, which
+    only grows, so it can never be strictly greater.
     """
     check_enumeration_limit(len(m.ground))
     if not is_superadditive(f, max(2 * len(m.ground), 2)):
@@ -537,6 +544,7 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
     searches = 0
     by_form: dict[Matroid, int | None] = {}
     by_family: dict[frozenset[int], int | None] = {}
+    ratios: dict[tuple[int, int], Fraction] = {}
     for x_labels, y_labels, bases in nested_minors(m):
         try:
             value = by_family[bases]
@@ -551,14 +559,25 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
                     by_form[form] = None
             # a form left unsearched past the deadline would stay so: keep None
             value = by_family[bases] = by_form.get(form)
-        ratio = None if value is None else Fraction(value, f(len(x_labels)))
+        if value is None:
+            ratio = None
+            exhaustive = False
+        else:
+            key = (value, len(x_labels))
+            ratio = ratios.get(key)
+            if ratio is None:
+                ratio = ratios[key] = Fraction(value, f(key[1]))
+                if ratio > best:
+                    best = ratio
+                    best_arg = (x_labels, y_labels)
         entries.append(MinorEntry(x_labels, y_labels, value, value is not None, ratio))
-        exhaustive &= value is not None
-        if ratio is not None and ratio > best:
-            best = ratio
-            best_arg = (x_labels, y_labels)
     return WidthReport(
-        value=best, argmax=best_arg, table=tuple(entries), exhaustive=exhaustive, searches=searches
+        value=best,
+        argmax=best_arg,
+        table=tuple(entries),
+        exhaustive=exhaustive,
+        searches=searches,
+        f=f,
     )
 
 
@@ -598,21 +617,44 @@ def certificate_to_dict(cert: ComplexityCertificate) -> dict:
     }
 
 
-def width_report_to_dict(report: WidthReport, f: SuperAdditiveFn) -> dict:
-    return {
-        "value": str(report.value),
-        "exhaustive": report.exhaustive,
-        "searches": report.searches,
-        "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
-        "table": [
-            {
-                "restrict": list(e.restrict_labels),
-                "contract": list(e.contract_labels),
-                "arcs": e.arcs,
-                "exhaustive": e.exhaustive,
-                "ratio": None if e.ratio is None else str(e.ratio),
-            }
-            for e in report.table
-        ],
-        "f": f.describe(),
-    }
+def _nested(value, depth: int) -> str:
+    """`value` as ``json.dumps(.., indent=2)`` lays it out `depth` levels
+    deep; a JSON string never holds a raw newline, so re-indenting is exact."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def width_report_json(report: WidthReport) -> str:
+    """The width report as ``json.dumps(.., indent=2)`` lays it out, byte for
+    byte, written row by row: each table row joins its restrict and contract
+    label lists, memoized by label tuple, with its arcs/exhaustive/ratio
+    tail, memoized by that triple."""
+    head = json.dumps(
+        {
+            "value": str(report.value),
+            "exhaustive": report.exhaustive,
+            "searches": report.searches,
+            "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
+        },
+        indent=2,
+    )
+    lists: dict[tuple[str, ...], str] = {}
+    tails: dict[tuple[int | None, bool, Fraction | None], str] = {}
+    rows = []
+    for e in report.table:
+        restrict = lists.get(e.restrict_labels)
+        if restrict is None:
+            restrict = lists[e.restrict_labels] = _nested(list(e.restrict_labels), 3)
+        contract = lists.get(e.contract_labels)
+        if contract is None:
+            contract = lists[e.contract_labels] = _nested(list(e.contract_labels), 3)
+        key = (e.arcs, e.exhaustive, e.ratio)
+        tail = tails.get(key)
+        if tail is None:
+            ratio = None if e.ratio is None else str(e.ratio)
+            fields = _nested({"arcs": e.arcs, "exhaustive": e.exhaustive, "ratio": ratio}, 2)
+            tail = tails[key] = fields[2:-6]  # the lines between the braces
+        rows.append(
+            f'    {{\n      "restrict": {restrict},\n      "contract": {contract},\n{tail}\n    }}'
+        )
+    table = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{head[:-2]},\n  "table": {table},\n  "f": {_nested(report.f.describe(), 1)}\n}}'

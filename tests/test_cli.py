@@ -1,12 +1,18 @@
 import argparse
+import hashlib
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gammoids
 from gammoids import cli
 from gammoids.cli import main
 from gammoids.complexity import uniform_rep
@@ -191,6 +197,57 @@ def test_fwidth_output_does_not_depend_on_ground_order(tmp_path, capsys):
         assert main(["fwidth", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def _width_input(tmp_path, seed: int) -> str:
+    """The `width` benchmark's input for `seed` (U(1,2) summed four times),
+    written by the benchmark's own input module, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return str(inputs.write_input(inputs.width_matroid(seed), tmp_path / f"width{seed}.json"))
+
+
+@pytest.mark.parametrize(
+    "seed, prefix",
+    [(1, "7f63b3853d620651"), (2, "47d8763b75aba924"), (3, "c6f731c59147dd9e")],
+)
+def test_fwidth_stdout_bytes_on_the_width_benchmark_inputs(tmp_path, capsys, seed, prefix):
+    # sha256 of the 1.5 MB report, pinned to the json.dumps(.., indent=2) encoder
+    assert main(["fwidth", _width_input(tmp_path, seed), "--f", "fhat", "--workers", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+
+
+def test_fwidth_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    src = str(Path(gammoids.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gammoids.cli", "fwidth", _width_input(tmp_path, 1)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the report is written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["fwidth"], ["arc-complexity", "--limits.max-arcs", "0"]]
+)
+def test_an_output_path_in_a_missing_directory_exits_1(matroid_file, tmp_path, capsys, command):
+    # the second command exhausts its budget and writes its error object
+    target = tmp_path / "missing" / "out.json"
+    argv = [command[0], matroid_file, *command[1:], "-o", str(target)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_in_class_command(matroid_file, capsys):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import hashlib
 import json
 import random
@@ -15,6 +16,7 @@ from gammoids.complexity import (
     MinorEntry,
     SearchLimits,
     SuperAdditiveFn,
+    WidthReport,
     _search_chunk,
     arc_complexity,
     certificate_to_dict,
@@ -26,7 +28,7 @@ from gammoids.complexity import (
     search_form,
     uniform_rep,
     verify_uniform_conjecture,
-    width_report_to_dict,
+    width_report_json,
 )
 from gammoids.matroid import (
     Matroid,
@@ -652,7 +654,7 @@ def test_four_fold_sum_width_report_is_unchanged():
     for pair in ("ab", "cd", "ef", "gh"):
         m = direct_sum(m, relabel(uniform(1, 2), {"1": pair[0], "2": pair[1]}))
     report = f_width(m, fhat)
-    blob = json.dumps(width_report_to_dict(report, fhat), indent=2).encode()
+    blob = width_report_json(report).encode()
     assert hashlib.sha256(blob).hexdigest().startswith("e69dc70f42f9d623")
     assert report.searches == 5
 
@@ -677,11 +679,80 @@ def test_truncated_width_certifies_only_unfolded_values(limits):
 def test_width_report_serialization():
     fhat = SuperAdditiveFn.fhat()
     report = f_width(uniform(1, 2), fhat)
-    blob = width_report_to_dict(report, fhat)
+    blob = json.loads(width_report_json(report))
     assert blob["value"] == "1/2"
     assert blob["f"] == {"kind": "fhat"}
     assert len(blob["table"]) == 9  # nested subset pairs of a 2-set
     assert blob["searches"] == report.searches == 2  # the forms of U(0,0) and U(1,2)
+
+
+@functools.cache
+def _small_width_reports() -> tuple[WidthReport, ...]:
+    """Width reports of every matroid on at most four labels under fhat and
+    linear:2, exhaustive and under SearchLimits(max_arcs=1) and (wall_secs=
+    0.05), plus U(3,6), whose 12 s search the clock cuts, and a pair whose
+    labels need escaping."""
+    from gammoids.suites import all_matroids
+
+    reports = []
+    for f in (SuperAdditiveFn.fhat(), SuperAdditiveFn.parse("linear:2")):
+        for limits in (None, SearchLimits(max_arcs=1), SearchLimits(wall_secs=0.05)):
+            for size in range(5):
+                for m in all_matroids(tuple("abcd"[:size])):
+                    reports.append(f_width(m, f, limits))
+    fhat = SuperAdditiveFn.fhat()
+    reports.append(f_width(uniform(3, 6), fhat, SearchLimits(wall_secs=0.05)))
+    reports.append(f_width(relabel(uniform(1, 2), {"1": 'é"', "2": "a\nb\\"}), fhat))
+    return tuple(reports)
+
+
+def _report_dict(report: WidthReport) -> dict:
+    return {
+        "value": str(report.value),
+        "exhaustive": report.exhaustive,
+        "searches": report.searches,
+        "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
+        "table": [
+            {
+                "restrict": list(e.restrict_labels),
+                "contract": list(e.contract_labels),
+                "arcs": e.arcs,
+                "exhaustive": e.exhaustive,
+                "ratio": None if e.ratio is None else str(e.ratio),
+            }
+            for e in report.table
+        ],
+        "f": report.f.describe(),
+    }
+
+
+def test_width_report_json_is_the_indented_json_of_the_report():
+    reports = _small_width_reports()
+    fhat = SuperAdditiveFn.fhat()
+    empty = WidthReport(Fraction(0), ((), ()), (), True, 0, fhat)
+    for report in reports + (empty,):
+        text = width_report_json(report)
+        assert json.dumps(json.loads(text), indent=2) == text, report
+        assert json.loads(text) == _report_dict(report), report
+    # the null, false and empty-list branches are all reached
+    rows = [e for report in reports for e in report.table]
+    assert any(e.arcs is None and not e.exhaustive and e.ratio is None for e in rows)
+    assert any(not e.restrict_labels and e.contract_labels for e in rows)
+    assert any(report.argmax == ((), ()) for report in reports)
+    assert not reports[-2].exhaustive
+
+
+def test_width_value_and_argmax_are_the_first_maximiser_of_the_table():
+    # a plain per-minor Fraction walk over the table agrees with the
+    # report's once-per-(arcs, |X|) ratios, exhaustive or truncated
+    for report in _small_width_reports():
+        best, arg = Fraction(0), ((), ())
+        for e in report.table:
+            ratio = None if e.arcs is None else Fraction(e.arcs, report.f(len(e.restrict_labels)))
+            assert e.ratio == ratio, (report, e)
+            if ratio is not None and ratio > best:
+                best, arg = ratio, (e.restrict_labels, e.contract_labels)
+        assert (report.value, report.argmax) == (best, arg), report
 
 
 def test_certificate_serialization():
