@@ -88,9 +88,25 @@ def _emit(obj, output: str | None) -> None:
                 handle.write(text + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write {output}: {exc}") from exc
-    else:
+    elif not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
         sys.stdout.write(text + "\n")
-        sys.stdout.flush()  # a closed pipe raises here, inside main
+    else:
+        # an unbuffered (raw) stdout may write short, so write until all is
+        # out; a closed pipe raises BrokenPipeError here, inside main
+        sys.stdout.flush()
+        data = memoryview((text + "\n").encode(sys.stdout.encoding))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+        sys.stdout.buffer.flush()
+
+
+def _check_output(output: str) -> None:
+    """Reject an ``-o`` path whose directory is missing or not writable
+    before the command runs, without creating the file."""
+    directory = os.path.dirname(output) or os.curdir
+    if not os.access(directory, os.W_OK):
+        reason = "not a writable directory" if os.path.isdir(directory) else "no such directory"
+        raise ValueError(f"cannot write {output}: {reason}: {directory}")
 
 
 def _note(message: str) -> None:
@@ -364,6 +380,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         try:
+            if args.output:
+                _check_output(args.output)
             return args.func(args)
         except BudgetExhaustedError as exc:
             _note(f"budget exhausted: {exc}")

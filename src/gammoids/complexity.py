@@ -105,10 +105,9 @@ from __future__ import annotations
 import json
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, fresh_label
 from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors, uniform
@@ -124,8 +123,7 @@ class BudgetExhaustedError(RuntimeError):
         self.levels = levels
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(NamedTuple):
     """Budgets for the arc-complexity search.  ``max_arcs`` caps the deepening
     level (default: the rank/size upper bound, which is always sufficient for
     a gammoid), ``wall_secs`` is a total wall-clock budget, and ``workers`` is
@@ -140,15 +138,13 @@ class SearchLimits:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class LevelStats:
+class LevelStats(NamedTuple):
     arcs: int
     candidates: int
     complete: bool
 
 
-@dataclass(frozen=True)
-class ComplexityCertificate:
+class ComplexityCertificate(NamedTuple):
     """Result of an arc-complexity search: the exact value and a standard
     witness representation achieving it.  Every level in ``levels`` below
     the value ran to completion, which proves that no smaller standard
@@ -160,8 +156,7 @@ class ComplexityCertificate:
     runtime_secs: float
 
 
-@dataclass(frozen=True)
-class MinorEntry:
+class MinorEntry(NamedTuple):
     restrict_labels: tuple[str, ...]
     contract_labels: tuple[str, ...]
     arcs: int | None
@@ -169,8 +164,7 @@ class MinorEntry:
     ratio: Fraction | None
 
 
-@dataclass(frozen=True)
-class WidthReport:
+class WidthReport(NamedTuple):
     """Maximum of arc-complexity over f over all nested minors.  When some
     inner search was truncated the value is still a certified lower bound on
     the width (it maximizes over the exhaustively solved minors only)."""
@@ -186,8 +180,7 @@ class WidthReport:
 # -- super-additive functions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuperAdditiveFn:
+class SuperAdditiveFn(NamedTuple):
     """Positive-integer-valued function used as the width denominator.
 
     Families: the built-in ``max(1, x)``, linear ``c * max(1, x)``, and an
@@ -554,7 +547,7 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
             if form not in by_form and (remaining is None or remaining > 0):
                 searches += 1
                 try:
-                    by_form[form] = arc_complexity(form, replace(limits, wall_secs=remaining)).value
+                    by_form[form] = arc_complexity(form, limits._replace(wall_secs=remaining)).value
                 except BudgetExhaustedError:
                     by_form[form] = None
             # a form left unsearched past the deadline would stay so: keep None

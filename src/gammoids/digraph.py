@@ -12,9 +12,8 @@ can be shared freely across concurrent tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Arc = tuple[int, int]
 
@@ -23,22 +22,26 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Immutable digraph over vertex ids ``0..n-1`` with per-vertex labels."""
-
+class _DigraphFields(NamedTuple):
     labels: tuple[str, ...]
     arcs: frozenset[Arc]
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs))
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+
+class Digraph(_DigraphFields):
+    """Immutable digraph over vertex ids ``0..n-1`` with per-vertex labels."""
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, labels: Iterable[str], arcs: Iterable[Arc]):
+        labels = tuple(labels)
+        arcs = frozenset((int(u), int(v)) for u, v in arcs)
+        n = len(labels)
+        if len(set(labels)) != n:
             raise ValueError("vertex labels must be unique")
-        for u, v in self.arcs:
+        for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
+        return super().__new__(cls, labels, arcs)
 
     @classmethod
     def build(cls, vertices: int | Iterable[str], arcs: Iterable[Arc] = ()) -> "Digraph":

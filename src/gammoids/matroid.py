@@ -14,9 +14,8 @@ library targets (|E| <= 16).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, TYPE_CHECKING
+from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
 from .routing import _routable_ids
 
@@ -39,14 +38,18 @@ def check_enumeration_limit(size: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Matroid:
+class _MatroidFields(NamedTuple):
     ground: tuple[str, ...]
     bases: frozenset[int]
 
-    def __post_init__(self):
-        ground = tuple(self.ground)
-        bases = frozenset(int(b) for b in self.bases)
+
+class Matroid(_MatroidFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, ground: Iterable[str], bases: Iterable[int]):
+        ground = tuple(ground)
+        bases = frozenset(int(b) for b in bases)
         if len(set(ground)) != len(ground):
             raise ValueError("ground set labels must be unique")
         if not bases:
@@ -61,8 +64,7 @@ class Matroid:
             # checked above on the input masks: the remap drops stray bits
             weight = [1 << labels.index(lab) for lab in ground]
             bases = frozenset(sum(w for i, w in enumerate(weight) if b >> i & 1) for b in bases)
-        object.__setattr__(self, "ground", labels)
-        object.__setattr__(self, "bases", bases)
+        return super().__new__(cls, labels, bases)
 
     # -- queries ----------------------------------------------------------
 

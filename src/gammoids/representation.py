@@ -16,8 +16,7 @@ the arc-complexity bounds in :mod:`gammoids.complexity`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, digraph_from_dict, digraph_to_dict, fresh_label, opposite, swap
 from .matroid import dual, gamma
@@ -32,16 +31,20 @@ class NotABaseError(ValueError):
     """The supplied element set is not a base of the represented matroid."""
 
 
-@dataclass(frozen=True)
-class Representation:
+class _RepresentationFields(NamedTuple):
     digraph: Digraph
     targets: frozenset[int]
     ground: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", frozenset(self.targets))
-        object.__setattr__(self, "ground", frozenset(self.ground))
-        _vertex_mask(self.digraph, self.targets | self.ground)  # every vertex in range
+
+class Representation(_RepresentationFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, digraph: Digraph, targets: Iterable[int], ground: Iterable[int]):
+        targets, ground = frozenset(targets), frozenset(ground)
+        _vertex_mask(digraph, targets | ground)  # every vertex in range
+        return super().__new__(cls, digraph, targets, ground)
 
     @property
     def arc_count(self) -> int:

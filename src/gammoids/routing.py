@@ -25,8 +25,7 @@ digraph through one helper, `_vertex_mask`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .digraph import Digraph
 
@@ -36,16 +35,19 @@ if TYPE_CHECKING:  # pragma: no cover
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Routing:
-    """Vertex-disjoint paths into a declared target set, sorted by start id."""
-
+class _RoutingFields(NamedTuple):
     paths: tuple[Path, ...]
     targets: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(tuple(p) for p in self.paths))
-        object.__setattr__(self, "targets", frozenset(self.targets))
+
+class Routing(_RoutingFields):
+    """Vertex-disjoint paths into a declared target set, sorted by start id."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, paths: Iterable[Iterable[int]], targets: Iterable[int]):
+        return super().__new__(cls, tuple(tuple(p) for p in paths), frozenset(targets))
 
     @property
     def size(self) -> int:

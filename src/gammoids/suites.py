@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .bruteforce import (
     brute_contract_bases,
@@ -51,13 +51,12 @@ from .representation import (
 from .routing import max_routing, validate_routing
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     failures: list[str]
     runtime_secs: float
-    details: dict = field(default_factory=dict)
+    details: dict | None = None
 
     @property
     def passed(self) -> bool:

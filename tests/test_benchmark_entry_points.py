@@ -4,11 +4,14 @@ package would otherwise only surface when a traced benchmark run starts."""
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gammoids
 from gammoids.matroid import direct_sum, matroid_to_dict, relabel, uniform
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -70,6 +73,30 @@ def test_traced_search_run_records_every_active_layer(perfbench, tmp_path):
     silent = [
         layer
         for layer in run.WORKLOADS["search"].active_layers
+        if run.spans.layer_calls(snapshot, layer) == 0
+    ]
+    assert not silent
+
+
+def test_traced_check_run_records_every_active_layer(perfbench, tmp_path):
+    # as a child process, the way the traced `suites` benchmark runs it: the
+    # tracer rebinds entry points only in the modules `gammoids.cli` loads,
+    # so a suite module imported later would record no span
+    run, _traced = perfbench
+    src = str(Path(gammoids.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spans_path, stdout_path = tmp_path / "spans.json", tmp_path / "stdout.txt"
+    argv = ["check", "all", "--max-vertices", "2", "--count", "5", "--seed", "1"]
+    subprocess.run(
+        [sys.executable, str(BENCH / "traced.py"), str(spans_path), str(stdout_path), *argv],
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    snapshot = json.loads(spans_path.read_text())
+    silent = [
+        layer
+        for layer in run.WORKLOADS["suites"].active_layers
         if run.spans.layer_calls(snapshot, layer) == 0
     ]
     assert not silent

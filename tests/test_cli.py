@@ -221,15 +221,19 @@ def test_fwidth_stdout_bytes_on_the_width_benchmark_inputs(tmp_path, capsys, see
     assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
 
 
-def test_fwidth_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+def _cli_env(**extra) -> dict:
+    """The environment of a CLI child process that imports this `gammoids`."""
     src = str(Path(gammoids.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_fwidth_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "gammoids.cli", "fwidth", _width_input(tmp_path, 1)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
     proc.stdout.close()  # the reader is gone before the report is written
     err = proc.stderr.read().decode()
@@ -237,17 +241,61 @@ def test_fwidth_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
     assert err == ""
 
 
+def test_fwidth_into_a_pipe_closed_part_way_exits_1_when_unbuffered(tmp_path):
+    # unbuffered, stdout is a raw file whose write may return short; the
+    # rest must still be written, so a reader gone mid-report is an error
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gammoids.cli", "fwidth", _width_input(tmp_path, 1)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(PYTHONUNBUFFERED="1"),
+    )
+    assert proc.stdout.read(10) == b'{\n  "value'  # 1.5 MB follow, far over a pipe's buffer
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
+def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+    # in a fresh interpreter, since other tests import the modules first and
+    # would hide one that the CLI no longer loads up front; without `site`,
+    # whose path hooks may import anything
+    code = "import sys, gammoids.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_cli_env(), check=True
+    ).stdout.split()
+    package = sorted(name for name in out if name.startswith("gammoids."))
+    assert package == [
+        f"gammoids.{name}"
+        for name in (
+            "bruteforce", "cli", "complexity", "digraph", "matroid", "representation", "routing", "suites",
+        )
+    ]
+    assert "dataclasses" not in out and "inspect" not in out
+
+
 @pytest.mark.parametrize(
     "command", [["fwidth"], ["arc-complexity", "--limits.max-arcs", "0"]]
 )
-def test_an_output_path_in_a_missing_directory_exits_1(matroid_file, tmp_path, capsys, command):
-    # the second command exhausts its budget and writes its error object
+def test_an_output_path_in_a_missing_directory_exits_1(matroid_file, tmp_path, capsys, monkeypatch, command):
+    # the path is checked before the command runs: neither the width nor the
+    # search (which would exhaust its budget and write its error object) starts
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "f_width", never)
+    monkeypatch.setattr(cli, "arc_complexity", never)
     target = tmp_path / "missing" / "out.json"
     argv = [command[0], matroid_file, *command[1:], "-o", str(target)]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith(f"error: cannot write {target}: ")
-    assert not target.exists()
+    assert capsys.readouterr().err == f"error: cannot write {target}: no such directory: {target.parent}\n"
+    assert not target.parent.exists()
+
+
+def test_an_output_path_that_is_a_directory_exits_1_once_the_command_ran(matroid_file, tmp_path, capsys):
+    assert main(["fwidth", matroid_file, "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_in_class_command(matroid_file, capsys):

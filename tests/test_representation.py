@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from itertools import combinations
 
@@ -415,3 +416,28 @@ def test_json_loaders_raise_only_value_error(digraph, rep, matroid):
             load(blob)
         except ValueError:
             pass
+
+
+def test_value_types_are_checked_tuples():
+    d = Digraph.build(["a", "b", "t"], [(0, 2), (1, 2)])
+    assert d.successors == (4, 4, 0)  # fills the cached property, which pickles along
+    rep = Representation(d, {2}, {0, 1, 2})
+    m = gamma(rep)
+    routing = max_routing(d, {0, 1}, {2})
+    labels, arcs = d
+    assert (labels, arcs) == d and rep == (d, frozenset({2}), frozenset({0, 1, 2}))
+    assert m == (("a", "b", "t"), frozenset({0b001, 0b010, 0b100}))  # U(1,3)
+    for value in (d, rep, m, routing):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value) and type(copy) is type(value)
+    with pytest.raises(AttributeError):
+        m.ground = ()
+    # `_replace` goes through the checked constructor, as the fields do
+    assert m._replace(ground=("t", "b", "a")).ground == ("a", "b", "t")
+    assert routing._replace(paths=[[1, 2]]).paths == ((1, 2),)
+    with pytest.raises(ValueError, match="outside vertex range"):
+        d._replace(arcs={(0, 5)})
+    with pytest.raises(ValueError):
+        rep._replace(targets={7})
+    with pytest.raises(ValueError, match="base mask outside"):
+        m._replace(bases={0b1000})
