@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
-from .routing import _routable_ids
+from .routing import _routable_ids, max_routing
 
 if TYPE_CHECKING:  # pragma: no cover
     from .representation import Representation
@@ -235,27 +235,41 @@ def gamma(rep: "Representation") -> Matroid:
     """Materialize the matroid represented by ``(digraph, targets, ground)``:
     a set is independent iff it routes into the targets.
 
-    Subsets are bit masks over vertex ids, the form `_routable_ids` takes,
-    enumerated in rank-bounded order: level k+1 candidates extend
-    independent k-sets by a ground vertex above their top bit and have only
-    independent k-subsets, so the enumeration stops at the rank.  Only the
-    bases are re-indexed, onto the ascending ground ids.
+    Subsets are bit masks over vertex ids, the form `_routable_ids` takes.
+    Level 1 comes from one backward reachability pass: {x} routes iff x is
+    a target or has a path into the targets, since a path may stop at the
+    first target it meets, and a shortest such path repeats no vertex.  The
+    rank r is then the size of one maximum routing from level 1 into the
+    targets: by Menger's theorem that size is the largest routable subset,
+    and every independent set lies in level 1 (with at most one element
+    there, r is its size).  Levels 2..r extend independent k-sets by a
+    level-1 vertex above their top bit, keep the candidates whose k-subsets
+    are all independent and flow-check those; level r is the bases, so no
+    (r+1)-set is routed.  Only the bases are re-indexed, onto the ascending
+    ground ids.
     """
     ids = sorted(rep.ground)
     check_enumeration_limit(len(ids))
     succ = rep.digraph.successors
     targets = sum(1 << t for t in rep.targets)
 
-    level, nxt = set(), {0}
-    while nxt:  # the last non-empty level holds the bases
-        level, nxt = nxt, set()
-        for s in level:
-            for j in ids:
+    reach, prev = targets, -1
+    while reach != prev:  # grow by the vertices with an arc into `reach`
+        prev = reach
+        reach |= sum(1 << v for v, heads in enumerate(succ) if heads & reach)
+    ones = [i for i in ids if reach >> i & 1]
+    rank = len(ones) if len(ones) <= 1 else max_routing(rep.digraph, ones, rep.targets).size
+
+    level = {1 << i for i in ones} if rank else {0}
+    for _ in range(rank - 1):
+        prev, level = level, set()
+        for s in prev:
+            for j in ones:
                 cand = s | 1 << j
-                if s >> j or not all(cand ^ 1 << i in level for i in ids if s >> i & 1):
+                if s >> j or not all(cand ^ 1 << i in prev for i in ones if s >> i & 1):
                     continue
                 if _routable_ids(succ, targets, cand):
-                    nxt.add(cand)
+                    level.add(cand)
 
     bases = frozenset(sum(1 << p for p, i in enumerate(ids) if b >> i & 1) for b in level)
     return Matroid(tuple(rep.digraph.labels[i] for i in ids), bases)

@@ -74,18 +74,15 @@ def standard_defects(rep: Representation) -> list[str]:
     targets inside the ground set, targets all sinks, non-target ground all
     sources.  Loops count as both out- and in-arcs."""
     defects = []
-    d = rep.digraph
-    tails, heads = set(), set()
-    for u, v in d.arcs:
-        tails.add(u)
-        heads.add(v)
-    if not rep.targets <= rep.ground:
-        extra = sorted(d.labels[v] for v in rep.targets - rep.ground)
+    d, targets = rep.digraph, rep.targets
+    sources = rep.ground - targets
+    if not targets <= rep.ground:
+        extra = sorted(d.labels[v] for v in targets - rep.ground)
         defects.append(f"targets {extra} lie outside the ground set")
-    bad_sinks = sorted(d.labels[t] for t in rep.targets & tails)
+    bad_sinks = sorted({d.labels[u] for u, _ in d.arcs if u in targets})
     if bad_sinks:
         defects.append(f"targets {bad_sinks} have outgoing arcs (must be sinks)")
-    bad_sources = sorted(d.labels[e] for e in (rep.ground - rep.targets) & heads)
+    bad_sources = sorted({d.labels[v] for _, v in d.arcs if v in sources})
     if bad_sources:
         defects.append(f"ground elements {bad_sources} have incoming arcs (must be sources)")
     return defects
@@ -104,9 +101,13 @@ def _require_standard(rep: Representation) -> None:
 def is_duality_respecting(rep: Representation) -> bool:
     """True iff reversing all arcs and taking ground-minus-targets as the new
     targets represents the dual matroid."""
-    m = gamma(rep)
-    opp = Representation(opposite(rep.digraph), rep.ground - rep.targets, rep.ground)
-    return gamma(opp) == dual(m)
+    return gamma(_reverse(rep)) == dual(gamma(rep))
+
+
+def _reverse(rep: Representation) -> Representation:
+    """Reverse all arcs and complement the targets within the ground set,
+    without checking standardness."""
+    return Representation(opposite(rep.digraph), rep.ground - rep.targets, rep.ground)
 
 
 def dual_representation(rep: Representation) -> Representation:
@@ -114,7 +115,7 @@ def dual_representation(rep: Representation) -> Representation:
     the ground set.  The result is standard, represents the dual matroid, and
     has the same arc count."""
     _require_standard(rep)
-    return Representation(opposite(rep.digraph), rep.ground - rep.targets, rep.ground)
+    return _reverse(rep)
 
 
 # -- swap sequences -----------------------------------------------------------
@@ -231,6 +232,11 @@ def restrict_representation(rep: Representation, xs: Iterable[int]) -> Represent
     standard and the arc count non-increasing.
     """
     _require_standard(rep)
+    return _restrict(rep, xs)
+
+
+def _restrict(rep: Representation, xs: Iterable[int]) -> Representation:
+    """`restrict_representation` without the standardness check."""
     xs = frozenset(xs)
     if not xs <= rep.ground:
         raise ValueError("restriction set must be a subset of the ground set")
@@ -246,8 +252,10 @@ def restrict_representation(rep: Representation, xs: Iterable[int]) -> Represent
 
 def contract_representation(rep: Representation, xs: Iterable[int]) -> Representation:
     """Standard representation of the contraction to the ground subset X:
-    dualize, restrict, dualize back."""
-    return dual_representation(restrict_representation(dual_representation(rep), xs))
+    dualize, restrict, dualize back.  Each step keeps the triple standard,
+    so standardness is checked once, on the input."""
+    _require_standard(rep)
+    return _reverse(_restrict(_reverse(rep), xs))
 
 
 # -- JSON ---------------------------------------------------------------------

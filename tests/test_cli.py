@@ -228,33 +228,42 @@ def _cli_env(**extra) -> dict:
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
+def _stderr_after_exit(proc: subprocess.Popen) -> str:
+    """Wait at most 120 s for `proc` to exit and return its stderr; a child
+    still running then is killed, so a hung CLI fails the test."""
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise
+    return err.decode()
+
+
 def test_fwidth_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "gammoids.cli", "fwidth", _width_input(tmp_path, 1)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_cli_env(),
-    )
-    proc.stdout.close()  # the reader is gone before the report is written
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 1
-    assert err == ""
+    ) as proc:
+        proc.stdout.close()  # the reader is gone before the report is written
+        assert _stderr_after_exit(proc) == ""
+    assert proc.returncode == 1
 
 
 def test_fwidth_into_a_pipe_closed_part_way_exits_1_when_unbuffered(tmp_path):
     # unbuffered, stdout is a raw file whose write may return short; the
     # rest must still be written, so a reader gone mid-report is an error
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "gammoids.cli", "fwidth", _width_input(tmp_path, 1)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_cli_env(PYTHONUNBUFFERED="1"),
-    )
-    assert proc.stdout.read(10) == b'{\n  "value'  # 1.5 MB follow, far over a pipe's buffer
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 1
-    assert err == ""
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "value'  # 1.5 MB follow, far over a pipe's buffer
+        proc.stdout.close()
+        assert _stderr_after_exit(proc) == ""
+    assert proc.returncode == 1
 
 
 def test_importing_the_cli_loads_every_module_and_no_dataclasses():

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from gammoids.bruteforce import brute_contract_bases, brute_gamma_bases, brute_restrict_bases
+from gammoids.complexity import uniform_rep
 from gammoids.digraph import Digraph
 from gammoids.matroid import (
     EnumerationLimitError,
@@ -216,17 +217,56 @@ def test_gamma_arc_free_cases():
 
 
 def test_gamma_uniform_representation():
-    from gammoids.complexity import uniform_rep
-
     assert gamma(uniform_rep(2, 4)) == uniform(2, 4)
+
+
+def _dense_representation(rng):
+    """7-8 vertices, arc density 0.3-0.5, 3-5 targets inside a ground of 5-6:
+    ranks 3 to 5, which `random_representation` rarely reaches."""
+    n = rng.randint(7, 8)
+    density = rng.uniform(0.3, 0.5)
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+    ground = rng.sample(range(n), rng.randint(5, 6))
+    return Representation(Digraph.build(n, arcs), rng.sample(ground, rng.randint(3, 5)), ground)
 
 
 def test_gamma_matches_path_family_oracle():
     rng = random.Random(21)
-    for _ in range(200):
-        rep = random_representation(rng, 6)
+    edge_cases = [
+        Representation(Digraph.build(3, [(0, 1), (1, 2)]), {2}, ()),  # empty ground
+        Representation(Digraph.build(4, [(0, 3), (1, 3), (2, 0)]), {3}, {0, 1, 2}),  # target outside
+        Representation(Digraph.build(3, [(2, 2), (0, 2), (1, 0)]), {2}, {0, 1, 2}),  # loop at a target
+    ]
+    reps = [random_representation(rng, 6) for _ in range(200)]
+    reps += [_dense_representation(rng) for _ in range(100)] + edge_cases
+    for rep in reps:
         oracle = brute_gamma_bases(rep.digraph, rep.targets, rep.ground)
         assert gamma(rep).bases_label_sets() == {rep.digraph.label_set(b) for b in oracle}
+    assert sum(gamma(rep).rank >= 3 for rep in reps) >= 100
+
+
+def test_gamma_routes_only_sets_from_two_elements_up_to_the_rank(monkeypatch):
+    # singletons come from reachability and the rank from one maximum
+    # routing, so no 1-set and no (r+1)-set reaches the flow check
+    import gammoids.matroid as matroid_module
+
+    routed = []
+    real = matroid_module._routable_ids
+
+    def record(succ, targets, xs):
+        routed.append(xs)
+        return real(succ, targets, xs)
+
+    monkeypatch.setattr(matroid_module, "_routable_ids", record)
+    rng = random.Random(37)
+    reps = [random_representation(rng, 7) for _ in range(200)] + [uniform_rep(2, 4), uniform_rep(3, 6)]
+    checked = 0
+    for rep in reps:
+        routed.clear()
+        rank = gamma(rep).rank
+        assert all(2 <= xs.bit_count() <= rank for xs in routed)
+        checked += len(routed)
+    assert checked
 
 
 def test_gamma_enumeration_limit():

@@ -338,6 +338,19 @@ def test_restrict_representation_rejects_foreign_set():
         )
 
 
+def test_contract_representation_rejects_what_dual_and_restrict_reject():
+    # target 2 outside the ground, targets 1 and 2 not sinks, source 0 hit
+    bad = Representation(Digraph.build(3, [(0, 1), (1, 2), (2, 0)]), {1, 2}, {0, 1})
+    with pytest.raises(NotStandardError) as from_dual:
+        dual_representation(bad)
+    with pytest.raises(NotStandardError) as from_contract:
+        contract_representation(bad, frozenset({0}))
+    assert str(from_contract.value) == str(from_dual.value)
+    assert str(from_contract.value).count(";") == 2
+    with pytest.raises(ValueError, match="must be a subset of the ground set"):
+        contract_representation(uniform_rep(1, 2), frozenset({5}))
+
+
 def test_contract_representation_identity_and_uniform():
     rep = uniform_rep(2, 4)
     assert gamma(contract_representation(rep, rep.ground)) == gamma(rep)
