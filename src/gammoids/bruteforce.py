@@ -14,37 +14,27 @@ from typing import Iterable, Iterator
 from .digraph import Digraph
 
 
-def simple_paths_into(
-    d: Digraph, start: int, targets: set[int], banned: set[int]
-) -> Iterator[tuple[int, ...]]:
-    """All non-repeating paths from `start` that end in `targets` and avoid
-    `banned`.  Loops are skipped: a non-repeating sequence cannot use one."""
-    if start in banned:
-        return
-    succ = [sorted({v for (u, v) in d.arcs if u == w and v != w}) for w in range(d.vertex_count)]
-
-    def extend(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        v = path[-1]
-        if v in targets:
-            yield tuple(path)
-        for w in succ[v]:
-            if w in used or w in banned:
-                continue
-            path.append(w)
-            used.add(w)
-            yield from extend(path, used)
-            used.discard(w)
-            path.pop()
-
-    yield from extend([start], {start})
-
-
 def brute_max_routing_size(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> int:
     """Maximum number of vertices of `sources` simultaneously routable into
     `targets`, by exhausting all vertex-disjoint path families."""
     xs = sorted(set(sources))
     tset = set(targets)
+    # successor lists without loops: a non-repeating path cannot use one
+    succ = [sorted(v for u, v in d.arcs if u == w != v) for w in range(d.vertex_count)]
     best = 0
+
+    def paths(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
+        # every non-repeating extension of `path` that ends in `tset` and avoids `used`
+        v = path[-1]
+        if v in tset:
+            yield tuple(path)
+        for w in succ[v]:
+            if w not in used:
+                path.append(w)
+                used.add(w)
+                yield from paths(path, used)
+                used.discard(w)
+                path.pop()
 
     def go(i: int, used: set[int], count: int) -> None:
         nonlocal best
@@ -55,7 +45,7 @@ def brute_max_routing_size(d: Digraph, sources: Iterable[int], targets: Iterable
         x = xs[i]
         if x in used:
             return
-        for p in simple_paths_into(d, x, tset, used):
+        for p in paths([x], used | {x}):
             go(i + 1, used | set(p), count + 1)
 
     go(0, set(), 0)

@@ -28,10 +28,11 @@ from .complexity import (
     in_class,
     width_report_json,
 )
-from .matroid import gamma, matroid_from_dict, matroid_to_dict, uniform, validate_matroid
+from .matroid import check_enumeration_limit, gamma, matroid_from_dict, matroid_to_dict, uniform
 from .matroid import contract_to as matroid_contract_to
 from .matroid import dual as matroid_dual
 from .matroid import restrict as matroid_restrict
+from .matroid import validate_matroid
 from .representation import (
     dual_representation,
     contract_representation,
@@ -244,6 +245,7 @@ def cmd_in_class(args) -> int:
 
 
 def cmd_conjecture_uniform(args) -> int:
+    check_enumeration_limit(args.size)  # before `uniform` builds all C(n, r) bases
     m = uniform(args.rank, args.size)
     expected = args.rank * (args.size - args.rank)
     cert = arc_complexity(m, _limits(args))

@@ -483,6 +483,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
 def verify_uniform_conjecture(r: int, n: int, limits: SearchLimits | None = None) -> bool:
     """True iff the exhaustive search certifies that the rank-r uniform
     matroid on n elements has arc complexity exactly r * (n - r)."""
+    check_enumeration_limit(n)  # before `uniform` builds all C(n, r) bases
     return arc_complexity(uniform(r, n), limits).value == r * (n - r)
 
 

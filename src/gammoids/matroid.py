@@ -236,16 +236,12 @@ def gamma(rep: "Representation") -> Matroid:
     a set is independent iff it routes into the targets.
 
     Subsets are bit masks over vertex ids, the form `_routable_ids` takes.
-    Level 1 comes from one backward reachability pass: {x} routes iff x is
-    a target or has a path into the targets, since a path may stop at the
-    first target it meets, and a shortest such path repeats no vertex.  The
-    rank r is then the size of one maximum routing from level 1 into the
-    targets: by Menger's theorem that size is the largest routable subset,
-    and every independent set lies in level 1 (with at most one element
-    there, r is its size).  Levels 2..r extend independent k-sets by a
-    level-1 vertex above their top bit, keep the candidates whose k-subsets
-    are all independent and flow-check those; level r is the bases, so no
-    (r+1)-set is routed.  Only the bases are re-indexed, onto the ascending
+    The bases are the r-subsets of level 1 that route.  Level 1, the ground
+    vertices that reach a target (one backward reachability pass), holds
+    every independent set, and each of its 1-sets routes along a shortest
+    path; by Menger's theorem the size r of one maximum routing from level 1
+    is its largest routable subset, the rank.  So only r-sets with r >= 2
+    are flow-checked.  Only the bases are re-indexed, onto the ascending
     ground ids.
     """
     ids = sorted(rep.ground)
@@ -260,18 +256,9 @@ def gamma(rep: "Representation") -> Matroid:
     ones = [i for i in ids if reach >> i & 1]
     rank = len(ones) if len(ones) <= 1 else max_routing(rep.digraph, ones, rep.targets).size
 
-    level = {1 << i for i in ones} if rank else {0}
-    for _ in range(rank - 1):
-        prev, level = level, set()
-        for s in prev:
-            for j in ones:
-                cand = s | 1 << j
-                if s >> j or not all(cand ^ 1 << i in prev for i in ones if s >> i & 1):
-                    continue
-                if _routable_ids(succ, targets, cand):
-                    level.add(cand)
-
-    bases = frozenset(sum(1 << p for p, i in enumerate(ids) if b >> i & 1) for b in level)
+    sets = map(sum, combinations([1 << i for i in ones], rank))
+    routed = [s for s in sets if rank < 2 or _routable_ids(succ, targets, s)]
+    bases = frozenset(sum(1 << p for p, i in enumerate(ids) if b >> i & 1) for b in routed)
     return Matroid(tuple(rep.digraph.labels[i] for i in ids), bases)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ from .complexity import (
     arc_complexity,
     f_width,
     kw_upper_bound,
+    lower_bound,
 )
 from .digraph import Digraph, default_labels, swap
 from .matroid import (
@@ -464,8 +466,11 @@ def bounds_suite(
     certificates: list[tuple[Matroid, ComplexityCertificate]] | None = None,
     limits: SearchLimits | None = None,
 ) -> SuiteResult:
-    """Every certificate satisfies the closed-form upper bound and
-    its witness touches at most two vertices per arc."""
+    """Every certificate satisfies the closed-form upper bound, and its
+    witness is a standard, loop-free representation of the matroid with
+    `value` arcs whose internal vertices have in- and out-degree at least
+    two and number at most ``(value - lower_bound(m)) // 2`` (Lemma A in
+    `complexity`)."""
     t0 = time.perf_counter()
     failures: list[str] = []
     if certificates is None:
@@ -477,12 +482,21 @@ def bounds_suite(
         tag = f"certificate for {m!r}"
         if cert.value > kw_upper_bound(m.rank, len(m.ground)):
             _clip(failures, f"{tag}: value exceeds the closed-form bound")
-        w = cert.witness
-        touched = {v for arc in w.digraph.arcs for v in arc}
-        if len(touched) > 2 * w.arc_count:
-            _clip(failures, f"{tag}: witness has more than 2|A| non-isolated vertices")
+        w, arcs = cert.witness, cert.witness.digraph.arcs
         if w.arc_count != cert.value:
             _clip(failures, f"{tag}: witness arc count differs from the value")
+        if gamma(w) != m:
+            _clip(failures, f"{tag}: witness represents another matroid")
+        if not is_standard(w):
+            _clip(failures, f"{tag}: witness is not standard")
+        if any(u == v for u, v in arcs):
+            _clip(failures, f"{tag}: witness has a loop")
+        tails, heads = Counter(u for u, _ in arcs), Counter(v for _, v in arcs)
+        internal = set(range(w.digraph.vertex_count)) - w.ground
+        if any(min(tails[v], heads[v]) < 2 for v in internal):
+            _clip(failures, f"{tag}: witness has an internal vertex of in- or out-degree below 2")
+        if len(internal) > (cert.value - lower_bound(m)) // 2:
+            _clip(failures, f"{tag}: witness has more internal vertices than Lemma A allows")
     return SuiteResult("bounds", len(certificates), failures, time.perf_counter() - t0)
 
 

@@ -88,10 +88,11 @@ def test_criterion_6_width_closure():
 
 def test_criterion_7_upper_bounds_on_certificates(arc_values, minor_complexity):
     # every exhaustive certificate of criteria 4 and 5 satisfies the
-    # closed-form bound and its witness touches at most two vertices per arc
+    # closed-form bound, and its witness is a standard, loop-free
+    # representation of the matroid whose internal vertices meet Lemma A
     certificates = arc_values.details["certificates"] + minor_complexity.details["certificates"]
     result = bounds_suite(certificates)
-    _report(7, "closed-form and vertex bounds on all certificates", result)
+    _report(7, "closed-form bound and Lemma A witnesses on all certificates", result)
 
 
 def test_criterion_8_routing_oracle_equivalence():

@@ -169,6 +169,7 @@ def test_ground_sets_over_the_limit_exit_1_at_once(tmp_path, capsys):
         ["fwidth", str(matroid)],
         ["in-class", str(matroid), "--q", "1"],
         ["conjecture-uniform", "1", "17"],
+        ["conjecture-uniform", "8", "24"],  # 735,471 bases
         ["eval", str(rep)],
         ["transform", str(rep), "dualize", "--verify"],
     ):
@@ -177,7 +178,8 @@ def test_ground_sets_over_the_limit_exit_1_at_once(tmp_path, capsys):
         assert time.monotonic() - t0 < 1.0, argv
         err = capsys.readouterr().err
         assert err.startswith("error: "), argv
-        assert err.endswith(": ground set has 17 elements, enumeration limit is 16\n"), argv
+        size = argv[2] if argv[0] == "conjecture-uniform" else "17"
+        assert err.endswith(f": ground set has {size} elements, enumeration limit is 16\n"), argv
 
 
 def test_fwidth_command(matroid_file, capsys):

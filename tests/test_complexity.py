@@ -31,6 +31,7 @@ from gammoids.complexity import (
     width_report_json,
 )
 from gammoids.matroid import (
+    EnumerationLimitError,
     Matroid,
     contract_to,
     direct_sum,
@@ -41,9 +42,10 @@ from gammoids.matroid import (
     restrict,
     uniform,
 )
-from gammoids.representation import is_standard, standardize
+from gammoids.digraph import Digraph
+from gammoids.representation import Representation, is_standard, standardize
 from gammoids.routing import _routable_ids
-from gammoids.suites import random_representation
+from gammoids.suites import bounds_suite, random_representation
 
 
 # -- super-additive functions -----------------------------------------------
@@ -160,6 +162,29 @@ def test_verify_uniform_conjecture_small():
     assert verify_uniform_conjecture(1, 2)
     assert verify_uniform_conjecture(1, 3)
     assert verify_uniform_conjecture(2, 4)
+
+
+def test_bounds_suite_rejects_doctored_witnesses():
+    m, n = uniform(1, 2), uniform(1, 3)
+    cm, cn = arc_complexity(m), arc_complexity(n)
+    assert bounds_suite([(m, cm), (n, cn)]).passed
+    # 2 -> i0 -> 1 represents U(1, 2), but i0 has in-degree 1 and Lemma A
+    # allows (2 - 1) // 2 = 0 internal vertices at 2 arcs
+    merged = Representation(Digraph(("1", "2", "i0"), {(1, 2), (2, 0)}), {0}, {0, 1})
+    other = uniform_rep(2, 3)  # 2 arcs, like the certificate of U(1, 3)
+    doctored = [(m, cm._replace(value=2, witness=merged)), (n, cn._replace(witness=other))]
+    assert [f.rsplit(": ", 1)[1] for f in bounds_suite(doctored).failures] == [
+        "witness has an internal vertex of in- or out-degree below 2",
+        "witness has more internal vertices than Lemma A allows",
+        "witness represents another matroid",
+    ]
+
+
+def test_verify_uniform_conjecture_checks_the_limit_before_building_bases():
+    t0 = time.monotonic()
+    with pytest.raises(EnumerationLimitError, match="28 elements, enumeration limit is 16"):
+        verify_uniform_conjecture(10, 28)  # U(10, 28) has 13.1M bases
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_budget_max_arcs_too_small():

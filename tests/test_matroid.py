@@ -245,9 +245,9 @@ def test_gamma_matches_path_family_oracle():
     assert sum(gamma(rep).rank >= 3 for rep in reps) >= 100
 
 
-def test_gamma_routes_only_sets_from_two_elements_up_to_the_rank(monkeypatch):
+def test_gamma_routes_only_rank_sized_sets(monkeypatch):
     # singletons come from reachability and the rank from one maximum
-    # routing, so no 1-set and no (r+1)-set reaches the flow check
+    # routing, so only the r-sets of level 1 reach the flow check
     import gammoids.matroid as matroid_module
 
     routed = []
@@ -264,7 +264,7 @@ def test_gamma_routes_only_sets_from_two_elements_up_to_the_rank(monkeypatch):
     for rep in reps:
         routed.clear()
         rank = gamma(rep).rank
-        assert all(2 <= xs.bit_count() <= rank for xs in routed)
+        assert all(xs.bit_count() == rank for xs in routed)
         checked += len(routed)
     assert checked
 
@@ -272,6 +272,13 @@ def test_gamma_routes_only_sets_from_two_elements_up_to_the_rank(monkeypatch):
 def test_gamma_enumeration_limit():
     at_limit = Representation(Digraph.build(16, []), frozenset(), frozenset(range(16)))
     assert gamma(at_limit).rank == 0
+    for r in (8, 12):
+        assert gamma(uniform_rep(r, 16)) == uniform(r, 16)
+    # 7 isolated targets (coloops) and one target fed by the 8 sources: 9
+    # bases among the C(16, 8) rank-sized sets
+    d = Digraph.build(16, [(s, 7) for s in range(8, 16)])
+    m = Matroid.from_label_sets(d.labels, [d.labels[:7] + (x,) for x in d.labels[7:]])
+    assert gamma(Representation(d, frozenset(range(8)), frozenset(range(16)))) == m
     over = Representation(Digraph.build(17, []), frozenset(), frozenset(range(17)))
     with pytest.raises(EnumerationLimitError, match="17 elements, enumeration limit is 16"):
         gamma(over)
