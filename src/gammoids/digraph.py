@@ -1,17 +1,21 @@
 """Finite simple digraphs with value semantics.
 
-A digraph is a dense vertex set ``{0, .., n-1}`` together with a frozen set
-of ordered vertex pairs.  Loops ``(v, v)`` are admitted in storage, but a
-non-repeating path can never traverse one, so all routing machinery treats
-them as absent.  Every vertex carries a unique string label; labels are what
-the JSON interchange format speaks, ids are positional.
+A digraph is a dense vertex set ``{0, .., n-1}`` stored as one out-mask per
+vertex: bit w of ``out[v]`` is the arc (v, w), so ``labels, out = d``.
+Loops ``(v, v)`` are admitted in storage, but a non-repeating path can never
+traverse one, so all routing machinery treats them as absent.  Every vertex
+carries a unique string label; labels are what the JSON interchange format
+speaks, ids are positional.  The arc set (`arcs`) and the loop-free masks
+(`successors`) are derived from the out-masks on request.
 
-Every transformation returns a fresh digraph.  Instances are immutable and
-can be shared freely across concurrent tasks.
+Every transformation returns a fresh digraph, built from its out-masks with
+the tuple's own constructor and no second check.  Instances are immutable
+and can be shared freely across concurrent tasks.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -22,26 +26,73 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(n))
 
 
+def as_int(value, what: str) -> int:
+    """`value` through `operator.index`: a float, string or other non-integer
+    raises ValueError naming it instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def members(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_in_range(mask, n: int) -> int:
+    """`mask` as an int whose bits all lie in the vertex range ``0..n-1``."""
+    if type(mask) is not int:
+        mask = as_int(mask, "mask")
+    if mask < 0 or mask >> n:
+        raise ValueError(f"mask {mask:#b} outside vertex range 0..{n - 1}")
+    return mask
+
+
+def _unique(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise ValueError("vertex labels must be unique")
+
+
 class _DigraphFields(NamedTuple):
     labels: tuple[str, ...]
-    arcs: frozenset[Arc]
+    out: tuple[int, ...]
 
 
 class Digraph(_DigraphFields):
     """Immutable digraph over vertex ids ``0..n-1`` with per-vertex labels."""
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
     def __new__(cls, labels: Iterable[str], arcs: Iterable[Arc]):
         labels = tuple(labels)
-        arcs = frozenset((int(u), int(v)) for u, v in arcs)
+        pairs = [(as_int(u, "vertex id"), as_int(v, "vertex id")) for u, v in arcs]
+        _unique(labels)
         n = len(labels)
-        if len(set(labels)) != n:
-            raise ValueError("vertex labels must be unique")
-        for u, v in arcs:
+        out = [0] * n
+        for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
-        return super().__new__(cls, labels, arcs)
+            out[u] |= 1 << v
+        return super().__new__(cls, labels, tuple(out))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Digraph":
+        """Build from the stored fields ``(labels, out)``, checked; `_replace`
+        and unpickling come through here."""
+        labels, out = fields
+        labels = tuple(labels)
+        _unique(labels)
+        n, out = len(labels), tuple(out)
+        if len(out) != n:
+            raise ValueError(f"{len(out)} out-masks for {n} vertices")
+        return super().__new__(cls, labels, tuple(mask_in_range(m, n) for m in out))
+
+    def __reduce__(self):
+        return type(self)._make, (tuple(self),)
 
     @classmethod
     def build(cls, vertices: int | Iterable[str], arcs: Iterable[Arc] = ()) -> "Digraph":
@@ -50,25 +101,25 @@ class Digraph(_DigraphFields):
             labels = default_labels(vertices)
         else:
             labels = tuple(vertices)
-        return cls(labels, frozenset(arcs))
+        return cls(labels, arcs)
 
     @property
     def vertex_count(self) -> int:
         return len(self.labels)
 
+    @property
+    def arcs(self) -> frozenset[Arc]:
+        """Every arc ``(u, v)``, loops included."""
+        return frozenset((u, v) for u, heads in enumerate(self.out) for v in members(heads))
+
+    @property
+    def successors(self) -> tuple[int, ...]:
+        """The out-masks with the loops dropped (the routing view)."""
+        return tuple(heads & ~(1 << v) for v, heads in enumerate(self.out))
+
     @cached_property
     def label_to_id(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
-    def successors(self) -> tuple[int, ...]:
-        """Out-neighbours per vertex as a bit mask over vertex ids, loops
-        dropped (routing view); bit w of ``successors[v]`` is the arc (v, w)."""
-        out = [0] * self.vertex_count
-        for u, v in self.arcs:
-            if u != v:
-                out[u] |= 1 << v
-        return tuple(out)
 
     def ids(self, labels: Iterable[str]) -> frozenset[int]:
         """Map a collection of labels to vertex ids, rejecting unknown labels."""
@@ -99,7 +150,13 @@ def fresh_label(label: str, taken: set[str]) -> str:
 
 def opposite(d: Digraph) -> Digraph:
     """Reverse every arc; vertex set and labels are unchanged."""
-    return Digraph(d.labels, frozenset((v, u) for u, v in d.arcs))
+    rev = [0] * len(d.out)
+    for u, heads in enumerate(d.out):
+        while heads:
+            low = heads & -heads
+            rev[low.bit_length() - 1] |= 1 << u
+            heads ^= low
+    return tuple.__new__(Digraph, (d.labels, tuple(rev)))
 
 
 def swap(d: Digraph, r: int, s: int) -> Digraph:
@@ -118,19 +175,20 @@ def swap(d: Digraph, r: int, s: int) -> Digraph:
     else signals a caller bug and raises.  The resulting arc count never
     exceeds the original one.
     """
+    r, s = as_int(r, "vertex id"), as_int(s, "vertex id")
     if r == s:
         raise ValueError("swap of a loop is undefined")
-    if (r, s) not in d.arcs:
+    out = list(d.out)
+    if not (0 <= r < len(out) and 0 <= s < len(out) and out[r] >> s & 1):
         raise ValueError(f"swap undefined: ({r}, {s}) is not an arc")
-    new_arcs = {(u, v) for (u, v) in d.arcs if u != r and u != s}
-    new_arcs.update((s, v) for (u, v) in d.arcs if u == r and v != s)
-    new_arcs.add((s, r))
-    return Digraph(d.labels, frozenset(new_arcs))
+    out[s] = out[r] & ~(1 << s) | 1 << r
+    out[r] = 0
+    return tuple.__new__(Digraph, (d.labels, tuple(out)))
 
 
 def remove_loops(d: Digraph) -> Digraph:
     """Drop every arc ``(v, v)``; no non-repeating path can use one."""
-    return Digraph(d.labels, frozenset((u, v) for (u, v) in d.arcs if u != v))
+    return tuple.__new__(Digraph, (d.labels, d.successors))
 
 
 def digraph_to_dict(d: Digraph) -> dict:
@@ -160,4 +218,4 @@ def digraph_from_dict(obj: dict) -> Digraph:
         if u not in idx or v not in idx:
             raise ValueError(f"arc {entry!r} names an unknown vertex")
         arc_set.add((idx[u], idx[v]))
-    return Digraph(labels, frozenset(arc_set))
+    return Digraph(labels, arc_set)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
+from .digraph import as_int, members
 from .routing import _routable_ids, max_routing
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +50,7 @@ class Matroid(_MatroidFields):
 
     def __new__(cls, ground: Iterable[str], bases: Iterable[int]):
         ground = tuple(ground)
-        bases = frozenset(int(b) for b in bases)
+        bases = frozenset(as_int(b, "base mask") for b in bases)
         if len(set(ground)) != len(ground):
             raise ValueError("ground set labels must be unique")
         if not bases:
@@ -162,12 +163,14 @@ def uniform(r: int, n: int) -> Matroid:
 def dual(m: Matroid) -> Matroid:
     """Bases of the dual are exactly the complements of the bases."""
     full = m.full_mask
-    return Matroid(m.ground, frozenset(full & ~b for b in m.bases))
+    return tuple.__new__(Matroid, (m.ground, frozenset(full & ~b for b in m.bases)))
 
 
 def _project(m: Matroid, keep: int, by: int) -> Matroid:
     """The bases of `m` that meet the positions in `by` in the most elements,
-    cut down to the positions in `keep`."""
+    cut down to the positions in `keep`.  They are equicardinal whenever
+    `keep` is `by` or its complement, the only two callers' choices, and the
+    kept labels stay sorted, so the result needs no check."""
     rank_by = m.rank_of_mask(by)
     kept = [i for i in range(len(m.ground)) if keep >> i & 1]
     bases = frozenset(
@@ -175,7 +178,7 @@ def _project(m: Matroid, keep: int, by: int) -> Matroid:
         for b in m.bases
         if (b & by).bit_count() == rank_by
     )
-    return Matroid(tuple(m.ground[i] for i in kept), bases)
+    return tuple.__new__(Matroid, (tuple(m.ground[i] for i in kept), bases))
 
 
 def restrict(m: Matroid, labels: Iterable[str]) -> Matroid:
@@ -235,31 +238,42 @@ def gamma(rep: "Representation") -> Matroid:
     """Materialize the matroid represented by ``(digraph, targets, ground)``:
     a set is independent iff it routes into the targets.
 
-    Subsets are bit masks over vertex ids, the form `_routable_ids` takes.
-    The bases are the r-subsets of level 1 that route.  Level 1, the ground
-    vertices that reach a target (one backward reachability pass), holds
-    every independent set, and each of its 1-sets routes along a shortest
-    path; by Menger's theorem the size r of one maximum routing from level 1
-    is its largest routable subset, the rank.  So only r-sets with r >= 2
-    are flow-checked.  Only the bases are re-indexed, onto the ascending
-    ground ids.
+    Everything runs on the stored masks: the digraph's out-masks, the target
+    mask and the ground mask, and subsets are bit masks over vertex ids, the
+    form `_routable_ids` takes.  The bases are the r-subsets of level 1 that
+    route.  Level 1, the ground vertices that reach a target (one backward
+    reachability pass), holds every independent set, and each of its 1-sets
+    routes along a shortest path; by Menger's theorem the size r of one
+    maximum routing from level 1 is its largest routable subset, the rank.
+    So only r-sets with r >= 2 are flow-checked.  Only the bases are
+    re-indexed, onto the ascending ground ids; the `Matroid` is built
+    without a second check when the ground labels in id order are sorted,
+    its stored order, and through the checked constructor's remap otherwise.
     """
-    ids = sorted(rep.ground)
+    d, targets = rep.digraph, rep.target_mask
+    out = d.out
+    ids = members(rep.ground_mask)
     check_enumeration_limit(len(ids))
-    succ = rep.digraph.successors
-    targets = sum(1 << t for t in rep.targets)
 
     reach, prev = targets, -1
     while reach != prev:  # grow by the vertices with an arc into `reach`
         prev = reach
-        reach |= sum(1 << v for v, heads in enumerate(succ) if heads & reach)
+        for v, heads in enumerate(out):
+            if heads & reach:
+                reach |= 1 << v
     ones = [i for i in ids if reach >> i & 1]
-    rank = len(ones) if len(ones) <= 1 else max_routing(rep.digraph, ones, rep.targets).size
+    rank = len(ones) if len(ones) <= 1 else max_routing(d, ones, members(targets)).size
 
+    # the r-sets as vertex masks and, in the same order, as position masks
     sets = map(sum, combinations([1 << i for i in ones], rank))
-    routed = [s for s in sets if rank < 2 or _routable_ids(succ, targets, s)]
-    bases = frozenset(sum(1 << p for p, i in enumerate(ids) if b >> i & 1) for b in routed)
-    return Matroid(tuple(rep.digraph.labels[i] for i in ids), bases)
+    positions = map(sum, combinations([1 << p for p, i in enumerate(ids) if reach >> i & 1], rank))
+    bases = frozenset(
+        b for s, b in zip(sets, positions) if rank < 2 or _routable_ids(out, targets, s)
+    )
+    labels = tuple(map(d.labels.__getitem__, ids))
+    if list(labels) != sorted(labels):
+        return Matroid(labels, bases)
+    return tuple.__new__(Matroid, (labels, bases))
 
 
 # -- JSON -------------------------------------------------------------------

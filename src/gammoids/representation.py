@@ -2,23 +2,37 @@
 
 A representation is ``(digraph, targets, ground)``: a subset of the ground
 set is independent in the represented matroid iff it admits a vertex-disjoint
-routing into the target set.  A representation is *standard* when the targets
-lie inside the ground set, every target is a sink, and every non-target
-ground element is a source.  Standard representations respect duality:
-reversing all arcs and complementing the targets within the ground set
-represents the dual matroid.
+routing into the target set.  It stores the target and ground sets as bit
+masks over vertex ids, so ``digraph, target_mask, ground_mask = rep``; the id
+sets `targets` and `ground` are derived on request.  A representation is
+*standard* when the targets lie inside the ground set, every target is a
+sink, and every non-target ground element is a source.  Standard
+representations respect duality: reversing all arcs and complementing the
+targets within the ground set represents the dual matroid.
 
 The surgery operations below (rebasing via arc swaps, standardization through
 a primed vertex copy, ground restriction and contraction) all preserve the
 represented matroid and never increase the arc count; those two facts carry
-the arc-complexity bounds in :mod:`gammoids.complexity`.
+the arc-complexity bounds in :mod:`gammoids.complexity`.  They run on the
+digraph's out-masks and the two masks, and build their results with the
+tuples' own constructors, without a second check.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .digraph import Digraph, digraph_from_dict, digraph_to_dict, fresh_label, opposite, swap
+from .digraph import (
+    Digraph,
+    as_int,
+    digraph_from_dict,
+    digraph_to_dict,
+    fresh_label,
+    mask_in_range,
+    members,
+    opposite,
+    swap,
+)
 from .matroid import dual, gamma
 from .routing import Routing, _vertex_mask, max_routing, validate_routing
 
@@ -33,28 +47,45 @@ class NotABaseError(ValueError):
 
 class _RepresentationFields(NamedTuple):
     digraph: Digraph
-    targets: frozenset[int]
-    ground: frozenset[int]
+    target_mask: int
+    ground_mask: int
 
 
 class Representation(_RepresentationFields):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     def __new__(cls, digraph: Digraph, targets: Iterable[int], ground: Iterable[int]):
-        targets, ground = frozenset(targets), frozenset(ground)
-        _vertex_mask(digraph, targets | ground)  # every vertex in range
+        targets, ground = _vertex_mask(digraph, targets), _vertex_mask(digraph, ground)
         return super().__new__(cls, digraph, targets, ground)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Representation":
+        """Build from the stored fields ``(digraph, target_mask, ground_mask)``,
+        checked; `_replace` and unpickling come through here."""
+        digraph, targets, ground = fields
+        n = digraph.vertex_count
+        return super().__new__(cls, digraph, mask_in_range(targets, n), mask_in_range(ground, n))
+
+    def __reduce__(self):
+        return type(self)._make, (tuple(self),)
+
+    @property
+    def targets(self) -> frozenset[int]:
+        return frozenset(members(self.target_mask))
+
+    @property
+    def ground(self) -> frozenset[int]:
+        return frozenset(members(self.ground_mask))
 
     @property
     def arc_count(self) -> int:
-        return len(self.digraph.arcs)
+        return sum(map(int.bit_count, self.digraph.out))
 
     def ground_labels(self) -> tuple[str, ...]:
-        return tuple(self.digraph.labels[i] for i in sorted(self.ground))
+        return tuple(self.digraph.labels[i] for i in members(self.ground_mask))
 
     def target_labels(self) -> tuple[str, ...]:
-        return tuple(self.digraph.labels[i] for i in sorted(self.targets))
+        return tuple(self.digraph.labels[i] for i in members(self.target_mask))
 
     def ids_for(self, labels: Iterable[str]) -> frozenset[int]:
         return self.digraph.ids(labels)
@@ -66,6 +97,18 @@ class Representation(_RepresentationFields):
         )
 
 
+def _ground_subset(rep: Representation, ids: Iterable[int]) -> int | None:
+    """Mask of the ids, or None when one of them lies outside the ground set."""
+    mask = 0
+    for v in ids:
+        if type(v) is not int:
+            v = as_int(v, "vertex id")
+        if v < 0 or not rep.ground_mask >> v & 1:
+            return None
+        mask |= 1 << v
+    return mask
+
+
 # -- standardness ------------------------------------------------------------
 
 
@@ -73,18 +116,28 @@ def standard_defects(rep: Representation) -> list[str]:
     """Human-readable list of violated standardness conditions (empty if none):
     targets inside the ground set, targets all sinks, non-target ground all
     sources.  Loops count as both out- and in-arcs."""
+    d, targets, ground = rep.digraph, rep.target_mask, rep.ground_mask
+    heads = 0
+    tails = 0
+    for v, out in enumerate(d.out):
+        heads |= out
+        if out:
+            tails |= 1 << v
+    outside, bad_sinks = targets & ~ground, targets & tails
+    bad_sources = ground & ~targets & heads
+    if not (outside or bad_sinks or bad_sources):
+        return []
+
+    def labels(mask: int) -> list[str]:
+        return sorted(d.labels[v] for v in members(mask))
+
     defects = []
-    d, targets = rep.digraph, rep.targets
-    sources = rep.ground - targets
-    if not targets <= rep.ground:
-        extra = sorted(d.labels[v] for v in targets - rep.ground)
-        defects.append(f"targets {extra} lie outside the ground set")
-    bad_sinks = sorted({d.labels[u] for u, _ in d.arcs if u in targets})
+    if outside:
+        defects.append(f"targets {labels(outside)} lie outside the ground set")
     if bad_sinks:
-        defects.append(f"targets {bad_sinks} have outgoing arcs (must be sinks)")
-    bad_sources = sorted({d.labels[v] for _, v in d.arcs if v in sources})
+        defects.append(f"targets {labels(bad_sinks)} have outgoing arcs (must be sinks)")
     if bad_sources:
-        defects.append(f"ground elements {bad_sources} have incoming arcs (must be sources)")
+        defects.append(f"ground elements {labels(bad_sources)} have incoming arcs (must be sources)")
     return defects
 
 
@@ -107,7 +160,8 @@ def is_duality_respecting(rep: Representation) -> bool:
 def _reverse(rep: Representation) -> Representation:
     """Reverse all arcs and complement the targets within the ground set,
     without checking standardness."""
-    return Representation(opposite(rep.digraph), rep.ground - rep.targets, rep.ground)
+    ground = rep.ground_mask
+    return tuple.__new__(Representation, (opposite(rep.digraph), ground & ~rep.target_mask, ground))
 
 
 def dual_representation(rep: Representation) -> Representation:
@@ -121,30 +175,31 @@ def dual_representation(rep: Representation) -> Representation:
 # -- swap sequences -----------------------------------------------------------
 
 
-def _run_swaps(d: Digraph, targets: frozenset[int], routing: Routing) -> Digraph:
+def _run_swaps(d: Digraph, targets: int, routing: Routing) -> Digraph:
     """Swap every arc of `routing`, path by path in stored order, each path in
     reverse order of traversal, replacing each swapped arc's head by its tail
-    in the evolving target set.
+    in the evolving target mask.
 
     Each individual swap preserves the represented matroid only when the arc
     head is a current target and the tail is not; both are checked and a
     violation raises, since we assign no matroid meaning to other swaps.
     A single-vertex path contributes zero swaps.
     """
-    cur = d
-    tcur = set(targets)
     for p in routing.paths:
         for k in range(1, len(p)):
             r, s = p[-k - 1], p[-k]
-            if s not in tcur or r in tcur:
+            if not targets >> s & 1 or targets >> r & 1:
                 raise ValueError(
                     f"swap of ({r}, {s}) falls outside the matroid-preserving case "
                     "(head must be a current target, tail must not)"
                 )
-            cur = swap(cur, r, s)
-            tcur.discard(s)
-            tcur.add(r)
-    return cur
+            d = swap(d, r, s)
+            targets ^= 1 << s | 1 << r
+    return d
+
+
+def _starts_mask(routing: Routing) -> int:
+    return sum(1 << p[0] for p in routing.paths)
 
 
 def swap_sequence(rep: Representation, routing: Routing) -> Representation:
@@ -156,33 +211,35 @@ def swap_sequence(rep: Representation, routing: Routing) -> Representation:
     sink, and no more arcs than before.  Requires the routing's start set to
     be a base (unused old targets can only be dropped from a base's routing).
     """
-    d = rep.digraph
-    validate_routing(d, routing)
-    starts = routing.starts()
-    if not starts <= rep.ground:
+    d, targets, ground = rep.digraph, rep.target_mask, rep.ground_mask
+    validate_routing(d, routing)  # so every path vertex is an id in range
+    starts = _starts_mask(routing)
+    if starts & ~ground:
         raise NotABaseError("routing must start inside the ground set")
-    if not routing.ends() <= rep.targets:
+    if sum(1 << p[-1] for p in routing.paths) & ~targets:
         raise ValueError("routing must end inside the representation's targets")
-    rank = max_routing(d, rep.ground, rep.targets).size
-    if len(starts) != rank:
+    rank = max_routing(d, members(ground), members(targets)).size
+    if routing.size != rank:
         raise NotABaseError(
-            f"routing starts {sorted(starts)} have size {len(starts)}, rank is {rank}"
+            f"routing starts {members(starts)} have size {routing.size}, rank is {rank}"
         )
-    swapped = _run_swaps(d, rep.targets, routing)
-    keep_sinks = starts & rep.targets
-    arcs = frozenset((u, v) for (u, v) in swapped.arcs if u not in keep_sinks)
-    return Representation(Digraph(d.labels, arcs), starts, rep.ground)
+    swapped = _run_swaps(d, targets, routing)
+    keep_sinks = starts & targets
+    out = tuple(0 if keep_sinks >> u & 1 else heads for u, heads in enumerate(swapped.out))
+    stripped = tuple.__new__(Digraph, (d.labels, out))
+    return tuple.__new__(Representation, (stripped, starts, ground))
 
 
 def rebase(rep: Representation, base: Iterable[int]) -> Representation:
     """Re-target the representation onto the base B: route B into the targets
     by a maximum routing and apply the swap sequence."""
-    base = frozenset(base)
-    if not base <= rep.ground:
+    base_mask = _ground_subset(rep, base)
+    if base_mask is None:
         raise NotABaseError("base must be a subset of the ground set")
-    routing = max_routing(rep.digraph, base, rep.targets)
+    base = members(base_mask)
+    routing = max_routing(rep.digraph, base, members(rep.target_mask))
     if routing.size < len(base):
-        raise NotABaseError(f"{sorted(base)} admits no linking of size {len(base)}")
+        raise NotABaseError(f"{base} admits no linking of size {len(base)}")
     return swap_sequence(rep, routing)
 
 
@@ -193,31 +250,30 @@ def standardize(rep: Representation, base: Iterable[int]) -> Representation:
     v' for every old vertex, arcs (u', v') mirroring the rebased arcs, an arc
     (b', b) for every b in B and an arc (e, e') for every other ground
     element.  Ground labels stay put; primed copies get a trailing prime.
-    The arc count grows by exactly |ground|.  No arc minimization is
-    attempted here (that is the complexity search's job).
+    On the masks, the ground elements become ids ``0..k-1`` in ascending
+    order and v' is ``k + v``, so ``out[k + v]`` is the rebased ``out[v]``
+    shifted by k.  The arc count grows by exactly |ground|.  No arc
+    minimization is attempted here (that is the complexity search's job).
     """
     based = rebase(rep, base)
-    d0 = based.digraph
-    n0 = d0.vertex_count
-    ground_ids = sorted(rep.ground)
-    base_ids = set(based.targets)
+    d0, base_mask = based.digraph, based.target_mask
+    ground_ids = members(rep.ground_mask)
+    k = len(ground_ids)
 
     labels = [d0.labels[i] for i in ground_ids]
     taken = set(labels)
     primed_labels = [fresh_label(lab + "'", taken) for lab in d0.labels]
 
-    new_id = {v: i for i, v in enumerate(ground_ids)}
-    primed = {v: len(ground_ids) + v for v in range(n0)}
-
-    arcs = {(primed[u], primed[v]) for (u, v) in d0.arcs}
-    arcs.update((primed[b], new_id[b]) for b in base_ids)
-    arcs.update((new_id[e], primed[e]) for e in ground_ids if e not in base_ids)
-
-    return Representation(
-        Digraph(tuple(labels) + tuple(primed_labels), frozenset(arcs)),
-        frozenset(new_id[b] for b in base_ids),
-        frozenset(new_id[e] for e in ground_ids),
-    )
+    out = [0] * k + [heads << k for heads in d0.out]
+    targets = 0
+    for i, e in enumerate(ground_ids):
+        if base_mask >> e & 1:
+            out[k + e] |= 1 << i  # (b', b)
+            targets |= 1 << i
+        else:
+            out[i] = 1 << (k + e)  # (e, e')
+    primed = tuple.__new__(Digraph, (tuple(labels + primed_labels), tuple(out)))
+    return tuple.__new__(Representation, (primed, targets, (1 << k) - 1))
 
 
 # -- minor surgery ------------------------------------------------------------
@@ -237,17 +293,17 @@ def restrict_representation(rep: Representation, xs: Iterable[int]) -> Represent
 
 def _restrict(rep: Representation, xs: Iterable[int]) -> Representation:
     """`restrict_representation` without the standardness check."""
-    xs = frozenset(xs)
-    if not xs <= rep.ground:
+    keep = _ground_subset(rep, xs)
+    if keep is None:
         raise ValueError("restriction set must be a subset of the ground set")
-    d = rep.digraph
-    if rep.targets <= xs:
-        return Representation(d, rep.targets, xs)
-    lost = rep.targets - xs
-    routing = max_routing(d, xs, lost)
-    swapped = _run_swaps(d, rep.targets, routing)
-    new_targets = (rep.targets & xs) | routing.starts()
-    return Representation(swapped, new_targets, xs)
+    d, targets = rep.digraph, rep.target_mask
+    lost = targets & ~keep
+    if not lost:
+        return tuple.__new__(Representation, (d, targets, keep))
+    routing = max_routing(d, members(keep), members(lost))
+    swapped = _run_swaps(d, targets, routing)
+    targets = targets & keep | _starts_mask(routing)
+    return tuple.__new__(Representation, (swapped, targets, keep))
 
 
 def contract_representation(rep: Representation, xs: Iterable[int]) -> Representation:

@@ -18,8 +18,10 @@ the routing size and turns every routed x in X ∩ Y into the single-vertex
 path ``(x)``.
 
 Below the public functions every vertex set is an int bit mask over vertex
-ids; the public functions take id collections and reject ids outside the
-digraph through one helper, `_vertex_mask`.
+ids and the digraph is its stored out-masks (``Digraph.out``), loops
+included: the flow kernel drops them itself.  The public functions take id
+collections and reject ids outside the digraph, and ids that are no
+integers, through one helper, `_vertex_mask`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
-from .digraph import Digraph
+from .digraph import Digraph, as_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .representation import Representation
@@ -71,7 +73,7 @@ def validate_routing(d: Digraph, routing: Routing) -> None:
             raise ValueError(f"path {p} repeats a vertex")
         _vertex_mask(d, p)  # every vertex in range
         for u, v in zip(p, p[1:]):
-            if (u, v) not in d.arcs:
+            if not d.out[u] >> v & 1:
                 raise ValueError(f"path {p} uses the missing arc ({u}, {v})")
         if p[-1] not in routing.targets:
             raise ValueError(f"path {p} ends outside the target set")
@@ -86,8 +88,9 @@ def validate_routing(d: Digraph, routing: Routing) -> None:
 def _link(
     succ: Sequence[int], targets: int, sources: int, early_abort: bool = False
 ) -> tuple[list[int], list[int]]:
-    """Core flow routine on out-neighbour masks (``Digraph.successors``) with
-    the target and source sets as bit masks over vertex ids.
+    """Core flow routine on out-neighbour masks (``Digraph.out``; a loop bit
+    is dropped here) with the target and source sets as bit masks over
+    vertex ids.
 
     Returns ``(routed, res)``: the sources that got a path (ascending) and
     the residual graph as one out-mask per node, ``v_in = v``, ``v_out = n + v``
@@ -98,7 +101,7 @@ def _link(
     n = len(succ)
     snk = 2 * n
     res = [1 << (n + v) for v in range(n)]
-    res += [heads | (targets >> v & 1) << snk for v, heads in enumerate(succ)] + [0]
+    res += [heads & ~(1 << v) | (targets >> v & 1) << snk for v, heads in enumerate(succ)] + [0]
     routed: list[int] = []
     parent = [0] * (snk + 1)
     for x in range(n):
@@ -139,9 +142,11 @@ def _routable_ids(succ: Sequence[int], targets: int, xs: int) -> bool:
 
 def _vertex_mask(d: Digraph, ids: Iterable[int]) -> int:
     """Bit mask of a vertex-id collection; rejects ids outside `d`."""
-    mask = 0
+    mask, n = 0, d.vertex_count
     for v in ids:
-        if not 0 <= v < d.vertex_count:
+        if type(v) is not int:
+            v = as_int(v, "vertex id")
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside the digraph")
         mask |= 1 << v
     return mask
@@ -153,24 +158,24 @@ def max_routing(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> R
     The empty routing is a valid result.  Paths stop at the first target they
     reach, so a source that is itself a target is always routed as ``(x)``.
     """
-    n = d.vertex_count
+    out, n = d.out, d.vertex_count
     targets = frozenset(targets)
     src, tmask = _vertex_mask(d, sources), _vertex_mask(d, targets)
-    routed, res = _link(d.successors, tmask, src)
+    routed, res = _link(out, tmask, src)
     paths = []
     for v in routed:  # ascending starts, so the paths come out sorted
         path = [v]
         while not tmask >> v & 1:
-            flow = d.successors[v] & ~res[n + v]
+            flow = out[v] & ~(1 << v) & ~res[n + v]
             v = (flow & -flow).bit_length() - 1
             path.append(v)
-        paths.append(path)
-    return Routing(paths, targets)
+        paths.append(tuple(path))
+    return tuple.__new__(Routing, (tuple(paths), targets))
 
 
 def routable(d: Digraph, xs: Iterable[int], targets: Iterable[int]) -> bool:
     """True iff all of `xs` can be routed into `targets` at once."""
-    return _routable_ids(d.successors, _vertex_mask(d, targets), _vertex_mask(d, xs))
+    return _routable_ids(d.out, _vertex_mask(d, targets), _vertex_mask(d, xs))
 
 
 def is_independent(rep: "Representation", xs: Iterable[int]) -> bool:

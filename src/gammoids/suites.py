@@ -29,7 +29,7 @@ from .complexity import (
     kw_upper_bound,
     lower_bound,
 )
-from .digraph import Digraph, default_labels, swap
+from .digraph import Digraph, default_labels, members, swap
 from .matroid import (
     Matroid,
     contract_to,
@@ -130,57 +130,58 @@ def swap_invariance_suite(max_vertices: int = 4) -> SuiteResult:
 
     The all-ground-sets claim is checked through the full-ground matroid:
     independence of X in (D, T, E) only asks whether X routes to T, so two
-    triples agree for every E iff they agree for E = V.  Full-ground results
-    are memoized on the loop-free out-masks (``Digraph.successors``), the view
-    the routing engine itself routes on; every `_SAMPLE_EVERY`-th case
-    additionally re-compares all ground sets directly."""
+    triples agree for every E iff they agree for E = V.  Each digraph is
+    built straight from its arc bits, one out-mask per vertex, and
+    full-ground results are memoized on the loop-free out-masks
+    (``Digraph.successors``), since routing ignores loops; every
+    `_SAMPLE_EVERY`-th case additionally re-compares all ground sets
+    directly."""
     t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
     for n in range(1, max_vertices + 1):
         labels = default_labels(n)
-        all_vertices = frozenset(range(n))
-        positions = [(u, v) for u in range(n) for v in range(n)]
+        full = (1 << n) - 1
         tables: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
+        # per arc (r, s): the target masks with s in and r out, ascending,
+        # each beside its exchange with r in and s out
+        exchanges = {
+            (r, s): [(t | 1 << s, t | 1 << r) for t in range(full + 1) if not t & (1 << r | 1 << s)]
+            for r in range(n)
+            for s in range(n)
+            if r != s
+        }
 
-        def table(d: Digraph, t_mask: int) -> frozenset[int]:
-            key = (d.successors, t_mask)
-            if key not in tables:
-                targets = frozenset(i for i in range(n) if t_mask >> i & 1)
-                tables[key] = gamma(Representation(d, targets, all_vertices)).bases
-            return tables[key]
+        def table(d: Digraph, key: tuple[int, ...], t_mask: int) -> frozenset[int]:
+            if (key, t_mask) not in tables:
+                tables[key, t_mask] = gamma(Representation._make((d, t_mask, full))).bases
+            return tables[key, t_mask]
 
         for arc_bits in range(1 << (n * n)):
-            arcs = frozenset(positions[i] for i in range(n * n) if arc_bits >> i & 1)
-            d = Digraph(labels, arcs)
-            for r, s in sorted(a for a in arcs if a[0] != a[1]):
+            # bit u*n + v is the arc (u, v), so vertex u's out-mask is a slice
+            out = tuple(arc_bits >> (u * n) & full for u in range(n))
+            d = Digraph._make((labels, out))
+            key = d.successors
+            for r, s in [(r, s) for r in range(n) for s in members(key[r])]:
                 d2 = swap(d, r, s)
-                rest = [v for v in range(n) if v != r and v != s]
-                for sub in range(1 << len(rest)):
-                    t_mask = 1 << s
-                    for i, v in enumerate(rest):
-                        if sub >> i & 1:
-                            t_mask |= 1 << v
-                    t2_mask = (t_mask & ~(1 << s)) | (1 << r)
+                key2 = d2.successors
+                for t_mask, t2_mask in exchanges[r, s]:
                     cases += 1
-                    if table(d, t_mask) != table(d2, t2_mask):
+                    if table(d, key, t_mask) != table(d2, key2, t2_mask):
                         _clip(
                             failures,
-                            f"swap mismatch: n={n} arcs={sorted(arcs)} swap=({r},{s}) "
+                            f"swap mismatch: n={n} arcs={sorted(d.arcs)} swap=({r},{s}) "
                             f"targets_mask={t_mask}",
                         )
                     elif cases % _SAMPLE_EVERY == 0:
-                        tset = frozenset(i for i in range(n) if t_mask >> i & 1)
-                        t2set = frozenset(i for i in range(n) if t2_mask >> i & 1)
                         for e_bits in range(1 << n):
-                            eset = frozenset(i for i in range(n) if e_bits >> i & 1)
-                            m1 = gamma(Representation(d, tset, eset))
-                            m2 = gamma(Representation(d2, t2set, eset))
+                            m1 = gamma(Representation._make((d, t_mask, e_bits)))
+                            m2 = gamma(Representation._make((d2, t2_mask, e_bits)))
                             if m1 != m2:
                                 _clip(
                                     failures,
-                                    f"direct ground-set mismatch: n={n} arcs={sorted(arcs)} "
-                                    f"swap=({r},{s}) E={sorted(eset)}",
+                                    f"direct ground-set mismatch: n={n} arcs={sorted(d.arcs)} "
+                                    f"swap=({r},{s}) E={members(e_bits)}",
                                 )
     return SuiteResult("swap-invariance", cases, failures, time.perf_counter() - t0)
 

@@ -18,14 +18,41 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = BENCH / "spans.py"
 
 
-def test_every_traced_entry_point_resolves():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def _env_with_src() -> dict:
+    src = str(Path(gammoids.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_every_traced_entry_point_resolves():
+    spans = _spans()
     assert spans.ENTRY_POINTS
     for module_name, func, _layer, _observe in spans.ENTRY_POINTS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, func, None)), f"{module_name}.{func} is gone"
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # the tracer rebinds entry points only in the modules that `import
+    # gammoids.cli` loaded, so a module imported lazily would record no span
+    probe = "import json, sys, gammoids.cli; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=_env_with_src(),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    loaded = set(json.loads(done.stdout))
+    assert {module for module, *_ in _spans().ENTRY_POINTS} - loaded == set()
 
 
 @pytest.fixture
@@ -83,13 +110,11 @@ def test_traced_check_run_records_every_active_layer(perfbench, tmp_path):
     # tracer rebinds entry points only in the modules `gammoids.cli` loads,
     # so a suite module imported later would record no span
     run, _traced = perfbench
-    src = str(Path(gammoids.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     spans_path, stdout_path = tmp_path / "spans.json", tmp_path / "stdout.txt"
     argv = ["check", "all", "--max-vertices", "2", "--count", "5", "--seed", "1"]
     subprocess.run(
         [sys.executable, str(BENCH / "traced.py"), str(spans_path), str(stdout_path), *argv],
-        env=env,
+        env=_env_with_src(),
         check=True,
         timeout=120,
     )

@@ -39,6 +39,11 @@ def test_arc_out_of_range_rejected():
         Digraph.build(2, [(0, 2)])
 
 
+def test_non_integer_vertex_ids_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="vertex id 1.7 is not an integer"):
+        Digraph.build(2, [(0, 1.7)])
+
+
 def test_unknown_label_rejected():
     d = Digraph.build(["a"], [])
     with pytest.raises(ValueError):

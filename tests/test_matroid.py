@@ -55,6 +55,12 @@ def test_construction_guards():
         Matroid.from_label_sets(("a", "b"), [("a", "a"), ("b", "b")])  # a repeated label
 
 
+@pytest.mark.parametrize("mask", [1.9, "1"])
+def test_non_integer_base_masks_are_rejected_not_truncated(mask):
+    with pytest.raises(ValueError, match="base mask .* is not an integer"):
+        Matroid(("a", "b"), [mask])
+
+
 def test_independence_and_loops():
     m = Matroid.from_label_sets(("a", "b", "c"), [("a",), ("b",)])
     # a set is independent iff its rank is its size; a loop has rank 0

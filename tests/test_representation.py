@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from gammoids.bruteforce import brute_gamma_bases
 from gammoids.complexity import uniform_rep
-from gammoids.digraph import Digraph, digraph_from_dict, swap
-from gammoids.matroid import contract_to, gamma, matroid_from_dict, restrict, uniform
+from gammoids.digraph import Digraph, digraph_from_dict, opposite, remove_loops, swap
+from gammoids.matroid import Matroid, contract_to, dual, gamma, matroid_from_dict, restrict, uniform
 from gammoids.representation import (
     NotABaseError,
     NotStandardError,
@@ -27,7 +27,7 @@ from gammoids.representation import (
     swap_sequence,
 )
 from gammoids.routing import Routing, max_routing
-from gammoids.suites import random_representation
+from gammoids.suites import all_matroids, random_representation
 
 
 def oracle_bases(rep):
@@ -53,6 +53,11 @@ def test_target_with_out_arc_is_not_standard():
 def test_uniform_rep_is_standard():
     for r, n in [(0, 3), (1, 2), (2, 2), (2, 4)]:
         assert is_standard(uniform_rep(r, n))
+
+
+def test_non_integer_target_ids_raise_value_error():
+    with pytest.raises(ValueError, match="vertex id 1.5 is not an integer"):
+        Representation(Digraph.build(2, []), [1.5], [0, 1])
 
 
 def test_targets_outside_ground_are_a_defect():
@@ -433,12 +438,13 @@ def test_json_loaders_raise_only_value_error(digraph, rep, matroid):
 
 def test_value_types_are_checked_tuples():
     d = Digraph.build(["a", "b", "t"], [(0, 2), (1, 2)])
-    assert d.successors == (4, 4, 0)  # fills the cached property, which pickles along
+    assert d.ids(["t"]) == {2}  # fills the cached label map; a copy rebuilds its own
     rep = Representation(d, {2}, {0, 1, 2})
     m = gamma(rep)
     routing = max_routing(d, {0, 1}, {2})
-    labels, arcs = d
-    assert (labels, arcs) == d and rep == (d, frozenset({2}), frozenset({0, 1, 2}))
+    labels, out = d  # one out-mask per vertex
+    assert (labels, out) == d and out == (0b100, 0b100, 0)
+    assert rep == (d, 0b100, 0b111)  # the target and ground masks
     assert m == (("a", "b", "t"), frozenset({0b001, 0b010, 0b100}))  # U(1,3)
     for value in (d, rep, m, routing):
         copy = pickle.loads(pickle.dumps(value))
@@ -448,9 +454,64 @@ def test_value_types_are_checked_tuples():
     # `_replace` goes through the checked constructor, as the fields do
     assert m._replace(ground=("t", "b", "a")).ground == ("a", "b", "t")
     assert routing._replace(paths=[[1, 2]]).paths == ((1, 2),)
+    assert d._replace(out=(0, 0, 0b011)).arcs == {(2, 0), (2, 1)}
+    assert rep._replace(target_mask=0b001).targets == {0}
     with pytest.raises(ValueError, match="outside vertex range"):
-        d._replace(arcs={(0, 5)})
-    with pytest.raises(ValueError):
-        rep._replace(targets={7})
+        d._replace(out=(1 << 5, 0, 0))
+    with pytest.raises(ValueError, match="3 out-masks for 2 vertices"):
+        d._replace(labels=("a", "b"))
+    with pytest.raises(ValueError, match="outside vertex range"):
+        rep._replace(target_mask=1 << 7)
+    with pytest.raises(ValueError, match="is not an integer"):
+        rep._replace(ground_mask=7.0)
     with pytest.raises(ValueError, match="base mask outside"):
         m._replace(bases={0b1000})
+
+
+def _rebuilt(value):
+    """`value` rebuilt through its type's public, checked constructor."""
+    if isinstance(value, Digraph):
+        return Digraph(value.labels, value.arcs)
+    if isinstance(value, Representation):
+        return Representation(_rebuilt(value.digraph), value.targets, value.ground)
+    if isinstance(value, Matroid):
+        return Matroid(value.ground, value.bases)
+    return Routing(value.paths, value.targets)
+
+
+def _assert_canonical(*values):
+    for value in values:
+        copy = _rebuilt(value)
+        assert copy == value and hash(copy) == hash(value), value
+
+
+def test_derived_values_equal_their_checked_rebuilds():
+    # every transformation builds its result without a second check, so each
+    # result must be exactly what the public constructor makes of its parts;
+    # every other input has its labels reversed, which makes gamma's ground
+    # labels unsorted in id order
+    rng = random.Random(21)
+    for i in range(300):
+        rep = random_representation(rng, 6)
+        if i % 2:
+            d = rep.digraph
+            rep = Representation(Digraph(d.labels[::-1], d.arcs), rep.targets, rep.ground)
+        d = rep.digraph
+        arcs = sorted(a for a in d.arcs if a[0] != a[1])
+        _assert_canonical(d, rep, opposite(d), remove_loops(d), *(swap(d, r, s) for r, s in arcs))
+        m = gamma(rep)
+        _assert_canonical(m, dual(m), max_routing(d, rep.ground, rep.targets))
+        base = rep.ids_for(m.labels_of(min(m.bases)))
+        std = standardize(rep, base)
+        _assert_canonical(rebase(rep, base), std, dual_representation(std), gamma(std))
+        for x_mask in range(m.full_mask + 1):
+            labels = m.labels_of(x_mask)
+            xs = std.ids_for(labels)
+            rr, cc = restrict_representation(std, xs), contract_representation(std, xs)
+            _assert_canonical(rr, cc, gamma(rr), gamma(cc), restrict(m, labels), contract_to(m, labels))
+    for size in range(5):
+        for m in all_matroids(("d", "c", "b", "a")[:size]):
+            _assert_canonical(m, dual(m))
+            for x_mask in range(m.full_mask + 1):
+                labels = m.labels_of(x_mask)
+                _assert_canonical(restrict(m, labels), contract_to(m, labels))

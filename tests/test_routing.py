@@ -73,6 +73,12 @@ def test_vertex_out_of_range_rejected():
             max_routing(d, xs, targets)
 
 
+def test_non_integer_vertex_ids_raise_value_error():
+    d = Digraph.build(2, [(0, 1)])
+    with pytest.raises(ValueError, match="vertex id 0.5 is not an integer"):
+        max_routing(d, [0.5], [1])
+
+
 def test_loops_are_ignored():
     d = Digraph.build(2, [(0, 0), (0, 1)])
     assert routable(d, {0}, {1})
