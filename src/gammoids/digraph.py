@@ -11,13 +11,18 @@ speaks, ids are positional.  The arc set (`arcs`) and the loop-free masks
 Every transformation returns a fresh digraph, built from its out-masks with
 the tuple's own constructor and no second check.  Instances are immutable
 and can be shared freely across concurrent tasks.
+
+Caller input is checked once, where it enters.  `collection` is the one
+guard that the public constructors, and the public functions of `digraph`,
+`routing`, `matroid` and `representation` that take vertex ids, labels, arcs
+or bases, put around that argument: one that is not a collection, or an arc
+that is not a pair, is a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Arc = tuple[int, int]
 
@@ -33,6 +38,15 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def collection(value, what: str) -> Iterator:
+    """An iterator over `value`, or a ValueError naming `value` when it is
+    not a collection.  It looks at the argument once, never at its items."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not a collection") from None
 
 
 def members(mask: int) -> list[int]:
@@ -67,9 +81,17 @@ class _DigraphFields(NamedTuple):
 class Digraph(_DigraphFields):
     """Immutable digraph over vertex ids ``0..n-1`` with per-vertex labels."""
 
+    __slots__ = ()
+
     def __new__(cls, labels: Iterable[str], arcs: Iterable[Arc]):
-        labels = tuple(labels)
-        pairs = [(as_int(u, "vertex id"), as_int(v, "vertex id")) for u, v in arcs]
+        labels = tuple(collection(labels, "vertex labels"))
+        pairs = []
+        for arc in collection(arcs, "arcs"):
+            try:
+                u, v = arc
+            except (TypeError, ValueError):
+                raise ValueError(f"arc {arc!r} is not a (tail, head) pair") from None
+            pairs.append((as_int(u, "vertex id"), as_int(v, "vertex id")))
         _unique(labels)
         n = len(labels)
         out = [0] * n
@@ -98,10 +120,8 @@ class Digraph(_DigraphFields):
     def build(cls, vertices: int | Iterable[str], arcs: Iterable[Arc] = ()) -> "Digraph":
         """Construct from a vertex count (labels auto-generated) or label list."""
         if isinstance(vertices, int):
-            labels = default_labels(vertices)
-        else:
-            labels = tuple(vertices)
-        return cls(labels, arcs)
+            return cls(default_labels(vertices), arcs)
+        return cls(vertices, arcs)
 
     @property
     def vertex_count(self) -> int:
@@ -117,22 +137,18 @@ class Digraph(_DigraphFields):
         """The out-masks with the loops dropped (the routing view)."""
         return tuple(heads & ~(1 << v) for v, heads in enumerate(self.out))
 
-    @cached_property
-    def label_to_id(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     def ids(self, labels: Iterable[str]) -> frozenset[int]:
         """Map a collection of labels to vertex ids, rejecting unknown labels."""
-        idx = self.label_to_id
+        idx = {lab: i for i, lab in enumerate(self.labels)}
         out = set()
-        for lab in labels:
+        for lab in collection(labels, "vertex labels"):
             if lab not in idx:
                 raise ValueError(f"unknown vertex label {lab!r}")
             out.add(idx[lab])
         return frozenset(out)
 
     def label_set(self, ids: Iterable[int]) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in ids)
+        return frozenset(self.labels[i] for i in collection(ids, "vertex ids"))
 
     def __repr__(self):
         arcs = sorted(self.arcs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
-from .digraph import as_int, members
+from .digraph import as_int, collection, members
 from .routing import _routable_ids, max_routing
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,8 +49,8 @@ class Matroid(_MatroidFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     def __new__(cls, ground: Iterable[str], bases: Iterable[int]):
-        ground = tuple(ground)
-        bases = frozenset(as_int(b, "base mask") for b in bases)
+        ground = tuple(collection(ground, "ground set"))
+        bases = frozenset(as_int(b, "base mask") for b in collection(bases, "bases"))
         if len(set(ground)) != len(ground):
             raise ValueError("ground set labels must be unique")
         if not bases:
@@ -79,7 +79,7 @@ class Matroid(_MatroidFields):
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
-        for lab in labels:
+        for lab in collection(labels, "labels"):
             if lab not in self.ground:
                 raise ValueError(f"{lab!r} is not a ground set element")
             mask |= 1 << self.ground.index(lab)
@@ -100,12 +100,12 @@ class Matroid(_MatroidFields):
 
     @classmethod
     def from_label_sets(cls, ground: Iterable[str], bases: Iterable[Iterable[str]]) -> "Matroid":
-        ground = tuple(ground)
+        ground = tuple(collection(ground, "ground set"))
         pos = {lab: i for i, lab in enumerate(ground)}
         masks = set()
-        for base in bases:
+        for base in collection(bases, "bases"):
             mask = 0
-            for lab in base:
+            for lab in collection(base, "base"):
                 if lab not in pos:
                     raise ValueError(f"base element {lab!r} is not in the ground set")
                 if mask >> pos[lab] & 1:
@@ -243,9 +243,11 @@ def gamma(rep: "Representation") -> Matroid:
     form `_routable_ids` takes.  The bases are the r-subsets of level 1 that
     route.  Level 1, the ground vertices that reach a target (one backward
     reachability pass), holds every independent set, and each of its 1-sets
-    routes along a shortest path; by Menger's theorem the size r of one
-    maximum routing from level 1 is its largest routable subset, the rank.
-    So only r-sets with r >= 2 are flow-checked.  Only the bases are
+    routes along a shortest path; by Menger's theorem one maximum routing
+    from level 1 routes a largest routable subset, so its size is the rank r
+    and its start set is a base.  The rank and that base come from the same
+    `max_routing` call, and that base is never flow-checked; the other
+    r-sets are, when r >= 2.  Only the bases are
     re-indexed, onto the ascending ground ids; the `Matroid` is built
     without a second check when the ground labels in id order are sorted,
     its stored order, and through the checked constructor's remap otherwise.
@@ -262,13 +264,14 @@ def gamma(rep: "Representation") -> Matroid:
             if heads & reach:
                 reach |= 1 << v
     ones = [i for i in ids if reach >> i & 1]
-    rank = len(ones) if len(ones) <= 1 else max_routing(d, ones, members(targets)).size
+    paths = [(i,) for i in ones] if len(ones) <= 1 else max_routing(d, ones, members(targets)).paths
+    rank, base = len(paths), sum(1 << p[0] for p in paths)
 
     # the r-sets as vertex masks and, in the same order, as position masks
     sets = map(sum, combinations([1 << i for i in ones], rank))
     positions = map(sum, combinations([1 << p for p, i in enumerate(ids) if reach >> i & 1], rank))
     bases = frozenset(
-        b for s, b in zip(sets, positions) if rank < 2 or _routable_ids(out, targets, s)
+        b for s, b in zip(sets, positions) if rank < 2 or s == base or _routable_ids(out, targets, s)
     )
     labels = tuple(map(d.labels.__getitem__, ids))
     if list(labels) != sorted(labels):

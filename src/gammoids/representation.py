@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple
 from .digraph import (
     Digraph,
     as_int,
+    collection,
     digraph_from_dict,
     digraph_to_dict,
     fresh_label,
@@ -100,7 +101,7 @@ class Representation(_RepresentationFields):
 def _ground_subset(rep: Representation, ids: Iterable[int]) -> int | None:
     """Mask of the ids, or None when one of them lies outside the ground set."""
     mask = 0
-    for v in ids:
+    for v in collection(ids, "vertex ids"):
         if type(v) is not int:
             v = as_int(v, "vertex id")
         if v < 0 or not rep.ground_mask >> v & 1:
@@ -211,13 +212,20 @@ def swap_sequence(rep: Representation, routing: Routing) -> Representation:
     sink, and no more arcs than before.  Requires the routing's start set to
     be a base (unused old targets can only be dropped from a base's routing).
     """
-    d, targets, ground = rep.digraph, rep.target_mask, rep.ground_mask
-    validate_routing(d, routing)  # so every path vertex is an id in range
-    starts = _starts_mask(routing)
-    if starts & ~ground:
+    validate_routing(rep.digraph, routing)  # so every path vertex is an id in range
+    if _starts_mask(routing) & ~rep.ground_mask:
         raise NotABaseError("routing must start inside the ground set")
-    if sum(1 << p[-1] for p in routing.paths) & ~targets:
+    if sum(1 << p[-1] for p in routing.paths) & ~rep.target_mask:
         raise ValueError("routing must end inside the representation's targets")
+    return _swap_sequence(rep, routing)
+
+
+def _swap_sequence(rep: Representation, routing: Routing) -> Representation:
+    """`swap_sequence` for a routing that is known to be valid, to start
+    inside the ground set and to end inside the targets; it still checks
+    that the routing's start set is a base."""
+    d, targets, ground = rep.digraph, rep.target_mask, rep.ground_mask
+    starts = _starts_mask(routing)
     rank = max_routing(d, members(ground), members(targets)).size
     if routing.size != rank:
         raise NotABaseError(
@@ -232,7 +240,8 @@ def swap_sequence(rep: Representation, routing: Routing) -> Representation:
 
 def rebase(rep: Representation, base: Iterable[int]) -> Representation:
     """Re-target the representation onto the base B: route B into the targets
-    by a maximum routing and apply the swap sequence."""
+    by a maximum routing and apply the swap sequence.  The routing is built
+    here, so only B is checked, not the routing."""
     base_mask = _ground_subset(rep, base)
     if base_mask is None:
         raise NotABaseError("base must be a subset of the ground set")
@@ -240,7 +249,7 @@ def rebase(rep: Representation, base: Iterable[int]) -> Representation:
     routing = max_routing(rep.digraph, base, members(rep.target_mask))
     if routing.size < len(base):
         raise NotABaseError(f"{base} admits no linking of size {len(base)}")
-    return swap_sequence(rep, routing)
+    return _swap_sequence(rep, routing)
 
 
 def standardize(rep: Representation, base: Iterable[int]) -> Representation:

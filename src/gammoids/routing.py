@@ -20,8 +20,12 @@ path ``(x)``.
 Below the public functions every vertex set is an int bit mask over vertex
 ids and the digraph is its stored out-masks (``Digraph.out``), loops
 included: the flow kernel drops them itself.  The public functions take id
-collections and reject ids outside the digraph, and ids that are no
-integers, through one helper, `_vertex_mask`.
+collections and check them once, where they enter, through one helper,
+`_vertex_mask`: an argument that is not a collection (the guard
+`digraph.collection`, one look at the argument and none per id), an id that
+is no integer, or an id outside the digraph is a ValueError.  What the
+package computes itself, such as the routing `max_routing` returns, is
+built without a second check.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
-from .digraph import Digraph, as_int
+from .digraph import Digraph, as_int, collection
 
 if TYPE_CHECKING:  # pragma: no cover
     from .representation import Representation
@@ -49,7 +53,8 @@ class Routing(_RoutingFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     def __new__(cls, paths: Iterable[Iterable[int]], targets: Iterable[int]):
-        return super().__new__(cls, tuple(tuple(p) for p in paths), frozenset(targets))
+        paths = tuple(tuple(collection(p, "path")) for p in collection(paths, "paths"))
+        return super().__new__(cls, paths, frozenset(collection(targets, "targets")))
 
     @property
     def size(self) -> int:
@@ -58,12 +63,11 @@ class Routing(_RoutingFields):
     def starts(self) -> frozenset[int]:
         return frozenset(p[0] for p in self.paths)
 
-    def ends(self) -> frozenset[int]:
-        return frozenset(p[-1] for p in self.paths)
-
 
 def validate_routing(d: Digraph, routing: Routing) -> None:
     """Raise ValueError unless `routing` satisfies every routing invariant in `d`."""
+    if not isinstance(routing, Routing):
+        raise ValueError(f"routing {routing!r} is not a Routing")
     seen: set[int] = set()
     starts: set[int] = set()
     for p in routing.paths:
@@ -143,7 +147,7 @@ def _routable_ids(succ: Sequence[int], targets: int, xs: int) -> bool:
 def _vertex_mask(d: Digraph, ids: Iterable[int]) -> int:
     """Bit mask of a vertex-id collection; rejects ids outside `d`."""
     mask, n = 0, d.vertex_count
-    for v in ids:
+    for v in collection(ids, "vertex ids"):
         if type(v) is not int:
             v = as_int(v, "vertex id")
         if not 0 <= v < n:
@@ -159,7 +163,7 @@ def max_routing(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> R
     reach, so a source that is itself a target is always routed as ``(x)``.
     """
     out, n = d.out, d.vertex_count
-    targets = frozenset(targets)
+    targets = frozenset(collection(targets, "targets"))
     src, tmask = _vertex_mask(d, sources), _vertex_mask(d, targets)
     routed, res = _link(out, tmask, src)
     paths = []
@@ -181,7 +185,7 @@ def routable(d: Digraph, xs: Iterable[int], targets: Iterable[int]) -> bool:
 def is_independent(rep: "Representation", xs: Iterable[int]) -> bool:
     """True iff `xs` routes into the targets of `rep`, i.e. is independent in
     the represented matroid.  Rejects sets outside the ground set."""
-    xs = frozenset(xs)
+    xs = frozenset(collection(xs, "vertex ids"))
     if not xs <= rep.ground:
         raise ValueError("independence queries must stay inside the ground set")
     return routable(rep.digraph, xs, rep.targets)

@@ -533,6 +533,39 @@ def test_five_element_values_and_witness_degrees():
             assert sum(1 for arc in d.arcs if arc[1] == v) >= 2, m
 
 
+def test_fan_recursion_holds_with_equality_up_to_five_elements():
+    # Hypothesis F (unproven, so no search may use it): c(M) is the least,
+    # over bases B, of the largest of lower_bound(M), c(M\x) + |F_B(x)| for
+    # every x outside B that is no loop, and c(M/t) + |F*(t)| for every t in
+    # B that is no coloop, where F_B(x) = {t in B : B - t + x is a base} and
+    # F*(t) = {s outside B : B - t + s is a base}.  This pins the finite fact
+    # that it holds with equality on every matroid on at most five labels.
+    from gammoids.suites import all_matroids
+
+    value = functools.cache(lambda m: arc_complexity(m).value)
+    checked = 0
+    for size in range(6):
+        for m in all_matroids(tuple("abcde"[:size])):
+            loops = m.full_mask & ~functools.reduce(int.__or__, m.bases)
+            coloops = functools.reduce(int.__and__, m.bases)
+            least = None
+            for b in m.bases:
+                terms = [lower_bound(m)]
+                for i, lab in enumerate(m.ground):
+                    rest, bit = [x for x in m.ground if x != lab], 1 << i
+                    # exchange partners of lab: inside B for x, outside B for t
+                    partners = [j for j in range(size) if b >> j & 1 != b >> i & 1]
+                    fan = sum(b ^ bit ^ 1 << j in m.bases for j in partners)
+                    if b & bit and not coloops & bit:  # t = lab, fan F*(t)
+                        terms.append(value(contract_to(m, rest)) + fan)
+                    elif not b & bit and not loops & bit:  # x = lab, fan F_B(x)
+                        terms.append(value(restrict(m, rest)) + fan)
+                least = max(terms) if least is None else min(least, max(terms))
+            assert value(m) == least, m
+            checked += 1
+    assert checked == 498
+
+
 def test_standardize_gives_search_upper_bound():
     rng = random.Random(31)
     for _ in range(10):

@@ -275,6 +275,22 @@ def test_gamma_routes_only_rank_sized_sets(monkeypatch):
     assert checked
 
 
+def test_gamma_never_flow_checks_the_base_its_rank_routing_routed(monkeypatch):
+    # the routing that gives the rank starts at a base; on U(2,2) that base
+    # is level 1's only 2-set, so no flow check is left, and on U(2,4) five
+    # of the six 2-sets are checked
+    import gammoids.matroid as matroid_module
+
+    def refuse(succ, targets, xs):
+        raise AssertionError(f"flow check of {xs:#b}")
+
+    monkeypatch.setattr(matroid_module, "_routable_ids", refuse)
+    assert gamma(uniform_rep(2, 2)) == uniform(2, 2)
+    routed = []
+    monkeypatch.setattr(matroid_module, "_routable_ids", lambda *args: routed.append(args) or True)
+    assert gamma(uniform_rep(2, 4)) == uniform(2, 4) and len(routed) == 5
+
+
 def test_gamma_enumeration_limit():
     at_limit = Representation(Digraph.build(16, []), frozenset(), frozenset(range(16)))
     assert gamma(at_limit).rank == 0

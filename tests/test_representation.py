@@ -26,7 +26,7 @@ from gammoids.representation import (
     standardize,
     swap_sequence,
 )
-from gammoids.routing import Routing, max_routing
+from gammoids.routing import Routing, is_independent, max_routing, routable
 from gammoids.suites import all_matroids, random_representation
 
 
@@ -438,7 +438,8 @@ def test_json_loaders_raise_only_value_error(digraph, rep, matroid):
 
 def test_value_types_are_checked_tuples():
     d = Digraph.build(["a", "b", "t"], [(0, 2), (1, 2)])
-    assert d.ids(["t"]) == {2}  # fills the cached label map; a copy rebuilds its own
+    assert d.ids(["t"]) == {2}  # the label map is built per call: no cache, no `__dict__`
+    assert not hasattr(d, "__dict__")
     rep = Representation(d, {2}, {0, 1, 2})
     m = gamma(rep)
     routing = max_routing(d, {0, 1}, {2})
@@ -466,6 +467,39 @@ def test_value_types_are_checked_tuples():
         rep._replace(ground_mask=7.0)
     with pytest.raises(ValueError, match="base mask outside"):
         m._replace(bases={0b1000})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "Digraph.build(2, [5])",
+        "Digraph.build(2.0, [])",
+        "Digraph(('a',), None)",
+        "Digraph(None, [])",
+        "Matroid(('a',), 5)",
+        "Matroid(None, [1])",
+        "Matroid.from_label_sets(('a',), 5)",
+        "Routing(5, [1])",
+        "d.ids(5)",
+        "max_routing(d, 5, [1])",
+        "max_routing(d, [0], 5)",
+        "routable(d, 5, [1])",
+        "Representation(d, None, [0])",
+        "is_independent(rep, 5)",
+        "swap_sequence(rep, 5)",
+        "rebase(rep, 5)",
+        "standardize(rep, 5)",
+        "restrict_representation(rep, 5)",
+        "contract_representation(rep, 5)",
+    ],
+)
+def test_malformed_arguments_are_value_errors_naming_them(call):
+    # an argument that is no collection, or an arc that is no pair, is
+    # rejected where it enters, never as a TypeError or AttributeError
+    d = Digraph.build(3, [(0, 1), (1, 2)])
+    rep = uniform_rep(1, 2)
+    with pytest.raises(ValueError, match=r"(5|None|2\.0) is not a"):
+        eval(call, globals(), {"d": d, "rep": rep})
 
 
 def _rebuilt(value):
