@@ -148,11 +148,36 @@ class Digraph(_DigraphFields):
         return frozenset(out)
 
     def label_set(self, ids: Iterable[int]) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in collection(ids, "vertex ids"))
+        """The labels of a vertex-id collection; rejects ids outside the digraph."""
+        return frozenset(map(self.labels.__getitem__, members(_vertex_mask(self, ids))))
 
     def __repr__(self):
         arcs = sorted(self.arcs)
         return f"Digraph({self.vertex_count} vertices, arcs={arcs})"
+
+
+def _vertex_mask(d: Digraph, ids: Iterable[int]) -> int:
+    """Bit mask of a vertex-id collection; rejects ids outside `d`."""
+    mask, n = 0, d.vertex_count
+    for v in collection(ids, "vertex ids"):
+        if type(v) is not int:
+            v = as_int(v, "vertex id")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside the digraph")
+        mask |= 1 << v
+    return mask
+
+
+def _ground_subset(ground: int, ids: Iterable[int]) -> int | None:
+    """Mask of a vertex-id collection, or None when an id lies outside `ground`."""
+    mask = 0
+    for v in collection(ids, "vertex ids"):
+        if type(v) is not int:
+            v = as_int(v, "vertex id")
+        if v < 0 or not ground >> v & 1:
+            return None
+        mask |= 1 << v
+    return mask
 
 
 def fresh_label(label: str, taken: set[str]) -> str:

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
 from .digraph import as_int, collection, members
-from .routing import _routable_ids, max_routing
+from .routing import _link, _routable_ids
 
 if TYPE_CHECKING:  # pragma: no cover
     from .representation import Representation
@@ -238,16 +238,14 @@ def gamma(rep: "Representation") -> Matroid:
     """Materialize the matroid represented by ``(digraph, targets, ground)``:
     a set is independent iff it routes into the targets.
 
-    Everything runs on the stored masks: the digraph's out-masks, the target
-    mask and the ground mask, and subsets are bit masks over vertex ids, the
-    form `_routable_ids` takes.  The bases are the r-subsets of level 1 that
-    route.  Level 1, the ground vertices that reach a target (one backward
-    reachability pass), holds every independent set, and each of its 1-sets
-    routes along a shortest path; by Menger's theorem one maximum routing
-    from level 1 routes a largest routable subset, so its size is the rank r
-    and its start set is a base.  The rank and that base come from the same
-    `max_routing` call, and that base is never flow-checked; the other
-    r-sets are, when r >= 2.  Only the bases are
+    Everything runs on the stored masks, through the unchecked routing core.
+    The bases are the r-subsets of level 1 that route.  Level 1, the ground
+    vertices that reach a target (one backward reachability pass), holds
+    every independent set, and each of its 1-sets routes along a shortest
+    path; by Menger's theorem one maximum routing from level 1 routes a
+    largest routable subset, so the routed starts of one `_link` call are
+    the rank r and a base.  That base is never flow-checked; the other
+    r-sets are, with `_routable_ids`, when r >= 2.  Only the bases are
     re-indexed, onto the ascending ground ids; the `Matroid` is built
     without a second check when the ground labels in id order are sorted,
     its stored order, and through the checked constructor's remap otherwise.
@@ -264,8 +262,8 @@ def gamma(rep: "Representation") -> Matroid:
             if heads & reach:
                 reach |= 1 << v
     ones = [i for i in ids if reach >> i & 1]
-    paths = [(i,) for i in ones] if len(ones) <= 1 else max_routing(d, ones, members(targets)).paths
-    rank, base = len(paths), sum(1 << p[0] for p in paths)
+    routed = ones if len(ones) <= 1 else _link(out, targets, rep.ground_mask & reach)[0]
+    rank, base = len(routed), sum(1 << i for i in routed)
 
     # the r-sets as vertex masks and, in the same order, as position masks
     sets = map(sum, combinations([1 << i for i in ones], rank))

@@ -14,18 +14,19 @@ The surgery operations below (rebasing via arc swaps, standardization through
 a primed vertex copy, ground restriction and contraction) all preserve the
 represented matroid and never increase the arc count; those two facts carry
 the arc-complexity bounds in :mod:`gammoids.complexity`.  They run on the
-digraph's out-masks and the two masks, and build their results with the
-tuples' own constructors, without a second check.
+digraph's out-masks and the two masks, route through the unchecked routing
+core (`_link`, `_paths`) and build their results with the tuples' own
+constructors, without a second check.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .digraph import (
     Digraph,
-    as_int,
-    collection,
+    _ground_subset,
+    _vertex_mask,
     digraph_from_dict,
     digraph_to_dict,
     fresh_label,
@@ -35,7 +36,7 @@ from .digraph import (
     swap,
 )
 from .matroid import dual, gamma
-from .routing import Routing, _vertex_mask, max_routing, validate_routing
+from .routing import Path, Routing, _link, _paths, validate_routing
 
 
 class NotStandardError(ValueError):
@@ -56,6 +57,8 @@ class Representation(_RepresentationFields):
     __slots__ = ()
 
     def __new__(cls, digraph: Digraph, targets: Iterable[int], ground: Iterable[int]):
+        if not isinstance(digraph, Digraph):
+            raise ValueError(f"digraph {digraph!r} is not a Digraph")
         targets, ground = _vertex_mask(digraph, targets), _vertex_mask(digraph, ground)
         return super().__new__(cls, digraph, targets, ground)
 
@@ -64,6 +67,8 @@ class Representation(_RepresentationFields):
         """Build from the stored fields ``(digraph, target_mask, ground_mask)``,
         checked; `_replace` and unpickling come through here."""
         digraph, targets, ground = fields
+        if not isinstance(digraph, Digraph):
+            raise ValueError(f"digraph {digraph!r} is not a Digraph")
         n = digraph.vertex_count
         return super().__new__(cls, digraph, mask_in_range(targets, n), mask_in_range(ground, n))
 
@@ -96,18 +101,6 @@ class Representation(_RepresentationFields):
             f"Representation(targets={sorted(self.target_labels())}, "
             f"ground={sorted(self.ground_labels())}, digraph={self.digraph!r})"
         )
-
-
-def _ground_subset(rep: Representation, ids: Iterable[int]) -> int | None:
-    """Mask of the ids, or None when one of them lies outside the ground set."""
-    mask = 0
-    for v in collection(ids, "vertex ids"):
-        if type(v) is not int:
-            v = as_int(v, "vertex id")
-        if v < 0 or not rep.ground_mask >> v & 1:
-            return None
-        mask |= 1 << v
-    return mask
 
 
 # -- standardness ------------------------------------------------------------
@@ -176,31 +169,21 @@ def dual_representation(rep: Representation) -> Representation:
 # -- swap sequences -----------------------------------------------------------
 
 
-def _run_swaps(d: Digraph, targets: int, routing: Routing) -> Digraph:
-    """Swap every arc of `routing`, path by path in stored order, each path in
-    reverse order of traversal, replacing each swapped arc's head by its tail
-    in the evolving target mask.
+def _run_swaps(d: Digraph, paths: Iterable[Path]) -> Digraph:
+    """Swap every arc of `paths`, path by path, each path in reverse order of
+    traversal.  A single-vertex path contributes zero swaps.
 
-    Each individual swap preserves the represented matroid only when the arc
-    head is a current target and the tail is not; both are checked and a
-    violation raises, since we assign no matroid meaning to other swaps.
-    A single-vertex path contributes zero swaps.
+    Nothing is checked: each swap preserves the represented matroid, since
+    its head is a current target and its tail is not.  The routing core's
+    paths are vertex-disjoint and stop at the first target they reach, and
+    `_restrict`'s input is standard (its kept targets are sinks), so no
+    vertex but a path's last is a target; `swap_sequence` checks that of a
+    caller's routing.
     """
-    for p in routing.paths:
-        for k in range(1, len(p)):
-            r, s = p[-k - 1], p[-k]
-            if not targets >> s & 1 or targets >> r & 1:
-                raise ValueError(
-                    f"swap of ({r}, {s}) falls outside the matroid-preserving case "
-                    "(head must be a current target, tail must not)"
-                )
-            d = swap(d, r, s)
-            targets ^= 1 << s | 1 << r
+    for p in paths:
+        for k in range(len(p) - 1, 0, -1):
+            d = swap(d, p[k - 1], p[k])
     return d
-
-
-def _starts_mask(routing: Routing) -> int:
-    return sum(1 << p[0] for p in routing.paths)
 
 
 def swap_sequence(rep: Representation, routing: Routing) -> Representation:
@@ -210,28 +193,34 @@ def swap_sequence(rep: Representation, routing: Routing) -> Representation:
     all arcs leaving vertices of B that were already targets.  The result
     represents the same matroid with target set exactly B, every b in B a
     sink, and no more arcs than before.  Requires the routing's start set to
-    be a base (unused old targets can only be dropped from a base's routing).
+    be a base (unused old targets can only be dropped from a base's routing)
+    and no target before the end of a path, where a swap has no meaning.
     """
     validate_routing(rep.digraph, routing)  # so every path vertex is an id in range
-    if _starts_mask(routing) & ~rep.ground_mask:
+    if sum(1 << p[0] for p in routing.paths) & ~rep.ground_mask:
         raise NotABaseError("routing must start inside the ground set")
-    if sum(1 << p[-1] for p in routing.paths) & ~rep.target_mask:
+    targets = rep.target_mask
+    if sum(1 << p[-1] for p in routing.paths) & ~targets:
         raise ValueError("routing must end inside the representation's targets")
-    return _swap_sequence(rep, routing)
+    for p in routing.paths:  # the first swap that `_run_swaps` would get wrong
+        for k in range(len(p) - 2, -1, -1):
+            if targets >> p[k] & 1:
+                raise ValueError(
+                    f"swap of ({p[k]}, {p[k + 1]}) falls outside the matroid-preserving case "
+                    "(head must be a current target, tail must not)"
+                )
+    return _swap_sequence(rep, routing.paths)
 
 
-def _swap_sequence(rep: Representation, routing: Routing) -> Representation:
-    """`swap_sequence` for a routing that is known to be valid, to start
-    inside the ground set and to end inside the targets; it still checks
-    that the routing's start set is a base."""
+def _swap_sequence(rep: Representation, paths: Sequence[Path]) -> Representation:
+    """`swap_sequence` for paths that `_run_swaps` may swap unchecked; it
+    still checks that their start set is a base."""
     d, targets, ground = rep.digraph, rep.target_mask, rep.ground_mask
-    starts = _starts_mask(routing)
-    rank = max_routing(d, members(ground), members(targets)).size
-    if routing.size != rank:
-        raise NotABaseError(
-            f"routing starts {members(starts)} have size {routing.size}, rank is {rank}"
-        )
-    swapped = _run_swaps(d, targets, routing)
+    starts = sum(1 << p[0] for p in paths)
+    rank = len(_link(d.out, targets, ground)[0])
+    if len(paths) != rank:
+        raise NotABaseError(f"routing starts {members(starts)} have size {len(paths)}, rank is {rank}")
+    swapped = _run_swaps(d, paths)
     keep_sinks = starts & targets
     out = tuple(0 if keep_sinks >> u & 1 else heads for u, heads in enumerate(swapped.out))
     stripped = tuple.__new__(Digraph, (d.labels, out))
@@ -240,16 +229,15 @@ def _swap_sequence(rep: Representation, routing: Routing) -> Representation:
 
 def rebase(rep: Representation, base: Iterable[int]) -> Representation:
     """Re-target the representation onto the base B: route B into the targets
-    by a maximum routing and apply the swap sequence.  The routing is built
-    here, so only B is checked, not the routing."""
-    base_mask = _ground_subset(rep, base)
+    by a maximum routing and apply the swap sequence.  The routing comes from
+    the unchecked core, so only B is checked, not the routing."""
+    base_mask = _ground_subset(rep.ground_mask, base)
     if base_mask is None:
         raise NotABaseError("base must be a subset of the ground set")
-    base = members(base_mask)
-    routing = max_routing(rep.digraph, base, members(rep.target_mask))
-    if routing.size < len(base):
-        raise NotABaseError(f"{base} admits no linking of size {len(base)}")
-    return _swap_sequence(rep, routing)
+    paths = _paths(rep.digraph.out, rep.target_mask, base_mask)
+    if len(paths) < base_mask.bit_count():
+        raise NotABaseError(f"{members(base_mask)} admits no linking of size {base_mask.bit_count()}")
+    return _swap_sequence(rep, paths)
 
 
 def standardize(rep: Representation, base: Iterable[int]) -> Representation:
@@ -302,17 +290,14 @@ def restrict_representation(rep: Representation, xs: Iterable[int]) -> Represent
 
 def _restrict(rep: Representation, xs: Iterable[int]) -> Representation:
     """`restrict_representation` without the standardness check."""
-    keep = _ground_subset(rep, xs)
+    keep = _ground_subset(rep.ground_mask, xs)
     if keep is None:
         raise ValueError("restriction set must be a subset of the ground set")
     d, targets = rep.digraph, rep.target_mask
     lost = targets & ~keep
-    if not lost:
-        return tuple.__new__(Representation, (d, targets, keep))
-    routing = max_routing(d, members(keep), members(lost))
-    swapped = _run_swaps(d, targets, routing)
-    targets = targets & keep | _starts_mask(routing)
-    return tuple.__new__(Representation, (swapped, targets, keep))
+    paths = _paths(d.out, lost, keep) if lost else []
+    targets = targets & keep | sum(1 << p[0] for p in paths)
+    return tuple.__new__(Representation, (_run_swaps(d, paths), targets, keep))
 
 
 def contract_representation(rep: Representation, xs: Iterable[int]) -> Representation:

@@ -19,13 +19,13 @@ path ``(x)``.
 
 Below the public functions every vertex set is an int bit mask over vertex
 ids and the digraph is its stored out-masks (``Digraph.out``), loops
-included: the flow kernel drops them itself.  The public functions take id
-collections and check them once, where they enter, through one helper,
-`_vertex_mask`: an argument that is not a collection (the guard
-`digraph.collection`, one look at the argument and none per id), an id that
-is no integer, or an id outside the digraph is a ValueError.  What the
-package computes itself, such as the routing `max_routing` returns, is
-built without a second check.
+included: the flow kernel `_link` drops them itself.  The package routes
+its own masks through the unchecked core, `_link`, `_paths` (the paths of
+a maximum routing) and `_routable_ids`.  The public functions are the edge:
+they check the id collections they take once, where they enter, through
+`digraph._vertex_mask` (`is_independent` through `digraph._ground_subset`):
+an argument that is not a collection, an id that is no integer, or an id
+outside the digraph is a ValueError.  Then they call the core.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
-from .digraph import Digraph, as_int, collection
+from .digraph import Digraph, _ground_subset, _vertex_mask, collection
 
 if TYPE_CHECKING:  # pragma: no cover
     from .representation import Representation
@@ -92,16 +92,13 @@ def validate_routing(d: Digraph, routing: Routing) -> None:
 def _link(
     succ: Sequence[int], targets: int, sources: int, early_abort: bool = False
 ) -> tuple[list[int], list[int]]:
-    """Core flow routine on out-neighbour masks (``Digraph.out``; a loop bit
-    is dropped here) with the target and source sets as bit masks over
-    vertex ids.
-
-    Returns ``(routed, res)``: the sources that got a path (ascending) and
-    the residual graph as one out-mask per node, ``v_in = v``, ``v_out = n + v``
-    and sink ``2n``; a flow path leaves v by the one successor missing from
-    ``res[n + v]``.  With `early_abort`, gives up once a source fails, enough
-    for independence tests.
-    """
+    """Flow kernel on out-neighbour masks (``Digraph.out``; a loop bit is
+    dropped here) and target and source masks.  Returns ``(routed, res)``:
+    the sources that got a path (ascending) and the residual graph as one
+    out-mask per node, ``v_in = v``, ``v_out = n + v`` and sink ``2n``; a
+    flow path leaves v by the one successor missing from ``res[n + v]``.
+    With `early_abort`, gives up once a source fails, enough for
+    independence tests."""
     n = len(succ)
     snk = 2 * n
     res = [1 << (n + v) for v in range(n)]
@@ -144,16 +141,21 @@ def _routable_ids(succ: Sequence[int], targets: int, xs: int) -> bool:
     return len(routed) == xs.bit_count()
 
 
-def _vertex_mask(d: Digraph, ids: Iterable[int]) -> int:
-    """Bit mask of a vertex-id collection; rejects ids outside `d`."""
-    mask, n = 0, d.vertex_count
-    for v in collection(ids, "vertex ids"):
-        if type(v) is not int:
-            v = as_int(v, "vertex id")
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside the digraph")
-        mask |= 1 << v
-    return mask
+def _paths(out: Sequence[int], targets: int, sources: int) -> list[Path]:
+    """The routing core: the paths of a maximum routing from the mask
+    `sources` into the mask `targets`, in ascending start order, each
+    stopping at the first target it reaches."""
+    n = len(out)
+    routed, res = _link(out, targets, sources)
+    paths = []
+    for v in routed:
+        path = [v]
+        while not targets >> v & 1:
+            flow = out[v] & ~(1 << v) & ~res[n + v]
+            v = (flow & -flow).bit_length() - 1
+            path.append(v)
+        paths.append(tuple(path))
+    return paths
 
 
 def max_routing(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> Routing:
@@ -162,19 +164,9 @@ def max_routing(d: Digraph, sources: Iterable[int], targets: Iterable[int]) -> R
     The empty routing is a valid result.  Paths stop at the first target they
     reach, so a source that is itself a target is always routed as ``(x)``.
     """
-    out, n = d.out, d.vertex_count
     targets = frozenset(collection(targets, "targets"))
     src, tmask = _vertex_mask(d, sources), _vertex_mask(d, targets)
-    routed, res = _link(out, tmask, src)
-    paths = []
-    for v in routed:  # ascending starts, so the paths come out sorted
-        path = [v]
-        while not tmask >> v & 1:
-            flow = out[v] & ~(1 << v) & ~res[n + v]
-            v = (flow & -flow).bit_length() - 1
-            path.append(v)
-        paths.append(tuple(path))
-    return tuple.__new__(Routing, (tuple(paths), targets))
+    return tuple.__new__(Routing, (tuple(_paths(d.out, tmask, src)), targets))
 
 
 def routable(d: Digraph, xs: Iterable[int], targets: Iterable[int]) -> bool:
@@ -185,7 +177,7 @@ def routable(d: Digraph, xs: Iterable[int], targets: Iterable[int]) -> bool:
 def is_independent(rep: "Representation", xs: Iterable[int]) -> bool:
     """True iff `xs` routes into the targets of `rep`, i.e. is independent in
     the represented matroid.  Rejects sets outside the ground set."""
-    xs = frozenset(collection(xs, "vertex ids"))
-    if not xs <= rep.ground:
+    xs = _ground_subset(rep.ground_mask, xs)
+    if xs is None:
         raise ValueError("independence queries must stay inside the ground set")
-    return routable(rep.digraph, xs, rep.targets)
+    return _routable_ids(rep.digraph.out, rep.target_mask, xs)

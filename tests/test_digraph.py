@@ -50,6 +50,14 @@ def test_unknown_label_rejected():
         d.ids(["missing"])
 
 
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_label_set_rejects_ids_outside_the_digraph(bad):
+    # -1 once indexed from the end ("v2") and 9 raised IndexError
+    d = Digraph.build(3, [])
+    with pytest.raises(ValueError, match=f"vertex {bad} outside the digraph"):
+        d.label_set([0, bad])
+
+
 def test_successors_drop_loops():
     d = Digraph.build(2, [(0, 0), (0, 1)])
     assert d.successors[0] == 0b10

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -211,6 +212,27 @@ def test_swap_sequence_rejects_paths_through_targets():
     assert max_routing(d, {0}, {1, 2}).paths == ((0, 1),)
     with pytest.raises(ValueError, match="matroid-preserving"):
         swap_sequence(rep, Routing(((0, 1, 2),), frozenset({1, 2})))
+
+
+def test_swap_sequence_rejects_a_second_path_through_a_target():
+    # {0, 1} is a base and the first path is fine; the second meets target 3
+    # before its end, so its first swap, (3, 4), has a target as its tail
+    d = Digraph.build(5, [(0, 2), (1, 3), (3, 4)])
+    rep = Representation(d, {2, 3, 4}, {0, 1})
+    with pytest.raises(ValueError, match=r"swap of \(3, 4\) falls outside the matroid-preserving"):
+        swap_sequence(rep, Routing(((0, 2), (1, 3, 4)), {2, 3, 4}))
+
+
+def test_swap_sequence_reports_a_target_crossing_before_a_non_base():
+    # the start set {0} has size 1 against rank 2, and the path meets
+    # target 1 before its end: the crossing is the error reported
+    d = Digraph.build(4, [(0, 1), (1, 2), (3, 2)])
+    rep = Representation(d, {1, 2}, {0, 3})
+    with pytest.raises(ValueError, match="matroid-preserving") as info:
+        swap_sequence(rep, Routing(((0, 1, 2),), {1, 2}))
+    assert not isinstance(info.value, NotABaseError)
+    with pytest.raises(NotABaseError, match="have size 1, rank is 2"):
+        swap_sequence(rep, Routing(((3, 2),), {1, 2}))
 
 
 def test_swap_sequence_arc_count_never_grows():
@@ -485,6 +507,8 @@ def test_value_types_are_checked_tuples():
         "max_routing(d, [0], 5)",
         "routable(d, 5, [1])",
         "Representation(d, None, [0])",
+        "Representation(None, [], [])",
+        "Representation._make((None, 0, 0))",
         "is_independent(rep, 5)",
         "swap_sequence(rep, 5)",
         "rebase(rep, 5)",
@@ -500,6 +524,59 @@ def test_malformed_arguments_are_value_errors_naming_them(call):
     rep = uniform_rep(1, 2)
     with pytest.raises(ValueError, match=r"(5|None|2\.0) is not a"):
         eval(call, globals(), {"d": d, "rep": rep})
+
+
+def test_package_routing_never_goes_through_the_public_edge(monkeypatch):
+    # the package routes its own masks through the unchecked core, so with
+    # the public edge's helpers raising in every module that binds them,
+    # gamma and every surgery still return what they returned before
+    import gammoids.routing as routing_module
+
+    rng = random.Random(5)
+    cases = []
+    for _ in range(80):
+        rep = random_representation(rng, 6)
+        m = gamma(rep)
+        base = rep.ids_for(m.labels_of(min(m.bases)))
+        std = standardize(rep, base)
+        xs = frozenset(v for v in sorted(std.ground) if rng.random() < 0.6)
+        cases.append((rep, base, std, xs))
+
+    def results():
+        return [
+            (
+                gamma(rep),
+                rebase(rep, base),
+                standardize(rep, base),
+                gamma(std),
+                restrict_representation(std, xs),
+                contract_representation(std, xs),
+            )
+            for rep, base, std, xs in cases
+        ]
+
+    expected = results()
+
+    def refuse(*args):
+        raise AssertionError("the checked public routing edge was called")
+
+    edge = (routing_module._vertex_mask, routing_module.validate_routing, routing_module.max_routing)
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gammoids":
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in edge):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched.add((name, attr))
+    assert {
+        ("gammoids.digraph", "_vertex_mask"),
+        ("gammoids.representation", "_vertex_mask"),
+        ("gammoids.representation", "validate_routing"),
+        ("gammoids.routing", "max_routing"),
+    } <= patched
+    assert results() == expected
+    with pytest.raises(AssertionError, match="public routing edge"):
+        swap_sequence(cases[0][2], Routing((), ()))  # the edge itself still checks
 
 
 def _rebuilt(value):
