@@ -16,7 +16,9 @@ Caller input is checked once, where it enters.  `collection` is the one
 guard that the public constructors, and the public functions of `digraph`,
 `routing`, `matroid` and `representation` that take vertex ids, labels, arcs
 or bases, put around that argument: one that is not a collection, or an arc
-that is not a pair, is a ValueError naming it.
+that is not a pair, is a ValueError naming it.  A value-type argument of a
+function (a `Digraph`, `Matroid` or `Representation`) is the caller's
+contract, not checked: `gamma(5)` or `direct_sum(m, 5)` fails as Python does.
 """
 
 from __future__ import annotations
@@ -139,13 +141,7 @@ class Digraph(_DigraphFields):
 
     def ids(self, labels: Iterable[str]) -> frozenset[int]:
         """Map a collection of labels to vertex ids, rejecting unknown labels."""
-        idx = {lab: i for i, lab in enumerate(self.labels)}
-        out = set()
-        for lab in collection(labels, "vertex labels"):
-            if lab not in idx:
-                raise ValueError(f"unknown vertex label {lab!r}")
-            out.add(idx[lab])
-        return frozenset(out)
+        return frozenset(label_positions(self.labels, collection(labels, "vertex labels")))
 
     def label_set(self, ids: Iterable[int]) -> frozenset[str]:
         """The labels of a vertex-id collection; rejects ids outside the digraph."""
@@ -154,6 +150,19 @@ class Digraph(_DigraphFields):
     def __repr__(self):
         arcs = sorted(self.arcs)
         return f"Digraph({self.vertex_count} vertices, arcs={arcs})"
+
+
+def label_positions(labels: tuple[str, ...], names: Iterable[str]) -> list[int]:
+    """The position in `labels` of each of `names`, in order; a name not in
+    `labels`, an unhashable one included, is a ValueError naming it."""
+    position = {lab: i for i, lab in enumerate(labels)}
+    out = []
+    for name in names:
+        try:
+            out.append(position[name])
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown label {name!r}") from None
+    return out
 
 
 def _vertex_mask(d: Digraph, ids: Iterable[int]) -> int:
@@ -249,14 +258,8 @@ def digraph_from_dict(obj: dict) -> Digraph:
         raise ValueError('digraph field "vertices" must be a list of strings')
     if not isinstance(arcs, list):
         raise ValueError('digraph field "arcs" must be a list of [tail, head] pairs')
-    labels = tuple(vertices)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    arc_set = set()
     for entry in arcs:
         if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
             raise ValueError(f'digraph field "arcs" entries must be [tail, head] pairs, got {entry!r}')
-        u, v = entry
-        if u not in idx or v not in idx:
-            raise ValueError(f"arc {entry!r} names an unknown vertex")
-        arc_set.add((idx[u], idx[v]))
-    return Digraph(labels, arc_set)
+    ends = label_positions(tuple(vertices), [lab for entry in arcs for lab in entry])
+    return Digraph(vertices, zip(ends[::2], ends[1::2]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
-from .digraph import as_int, collection, members
+from .digraph import as_int, collection, label_positions, members
 from .routing import _link, _routable_ids
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,7 +63,7 @@ class Matroid(_MatroidFields):
         labels = tuple(sorted(ground))
         if labels != ground:
             # checked above on the input masks: the remap drops stray bits
-            weight = [1 << labels.index(lab) for lab in ground]
+            weight = [1 << i for i in label_positions(labels, ground)]
             bases = frozenset(sum(w for i, w in enumerate(weight) if b >> i & 1) for b in bases)
         return super().__new__(cls, labels, bases)
 
@@ -79,10 +79,8 @@ class Matroid(_MatroidFields):
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
-        for lab in collection(labels, "labels"):
-            if lab not in self.ground:
-                raise ValueError(f"{lab!r} is not a ground set element")
-            mask |= 1 << self.ground.index(lab)
+        for i in label_positions(self.ground, collection(labels, "labels")):
+            mask |= 1 << i
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:
@@ -101,16 +99,13 @@ class Matroid(_MatroidFields):
     @classmethod
     def from_label_sets(cls, ground: Iterable[str], bases: Iterable[Iterable[str]]) -> "Matroid":
         ground = tuple(collection(ground, "ground set"))
-        pos = {lab: i for i, lab in enumerate(ground)}
         masks = set()
         for base in collection(bases, "bases"):
             mask = 0
-            for lab in collection(base, "base"):
-                if lab not in pos:
-                    raise ValueError(f"base element {lab!r} is not in the ground set")
-                if mask >> pos[lab] & 1:
-                    raise ValueError(f"a base lists element {lab!r} twice")
-                mask |= 1 << pos[lab]
+            for i in label_positions(ground, collection(base, "base")):
+                if mask >> i & 1:
+                    raise ValueError(f"a base lists element {ground[i]!r} twice")
+                mask |= 1 << i
             masks.add(mask)
         return cls(ground, frozenset(masks))
 
@@ -153,6 +148,7 @@ def validate_matroid(m: Matroid) -> None:
 
 def uniform(r: int, n: int) -> Matroid:
     """Uniform matroid of rank r on ground set {"1", .., "n"}."""
+    r, n = as_int(r, "rank"), as_int(n, "ground size")
     if r < 0 or n < 0 or r > n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     ground = tuple(str(i) for i in range(1, n + 1))
@@ -227,6 +223,8 @@ def direct_sum(m: Matroid, n: Matroid) -> Matroid:
 def relabel(m: Matroid, mapping: dict[str, str]) -> Matroid:
     """Rename ground elements through a label mapping (missing keys keep
     their label); the result must again have unique labels."""
+    if not hasattr(mapping, "get"):
+        raise ValueError(f"label mapping {mapping!r} is not a mapping")
     ground = tuple(mapping.get(lab, lab) for lab in m.ground)
     return Matroid(ground, m.bases)
 

@@ -83,20 +83,18 @@ def _clip(failures: list[str], message: str) -> None:
 # -- generators ---------------------------------------------------------------
 
 
+def _random_arcs(rng: random.Random, n: int, density: float, loops: float) -> set[tuple[int, int]]:
+    """Each ordered pair on ``0..n-1`` is an arc with probability `loops` when
+    it is a loop and `density` otherwise: one draw per pair, in row order."""
+    return {(u, v) for u in range(n) for v in range(n) if rng.random() < (loops if u == v else density)}
+
+
 def random_representation(rng: random.Random, max_vertices: int = 6) -> Representation:
     """Random representation triple: arcs by density, loops occasionally,
     ground and targets as independent random subsets (targets need not lie in
     the ground set)."""
     n = rng.randint(1, max_vertices)
-    density = rng.choice([0.15, 0.3, 0.5])
-    arcs = set()
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                if rng.random() < 0.05:
-                    arcs.add((u, v))
-            elif rng.random() < density:
-                arcs.add((u, v))
+    arcs = _random_arcs(rng, n, rng.choice([0.15, 0.3, 0.5]), 0.05)
     ground = frozenset(v for v in range(n) if rng.random() < 0.75)
     targets = frozenset(v for v in range(n) if rng.random() < 0.35)
     return Representation(Digraph.build(n, arcs), targets, ground)
@@ -186,10 +184,6 @@ def swap_invariance_suite(max_vertices: int = 4) -> SuiteResult:
     return SuiteResult("swap-invariance", cases, failures, time.perf_counter() - t0)
 
 
-def _base_id_sets(rep: Representation, m: Matroid) -> list[frozenset[int]]:
-    return [rep.ids_for(m.labels_of(b)) for b in sorted(m.bases)]
-
-
 def standardization_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> SuiteResult:
     """Random representations, every base each: standardize must yield a
     standard representation of the same matroid, and dualizing it must yield
@@ -203,7 +197,8 @@ def standardization_suite(count: int = 500, max_vertices: int = 6, seed: int = 7
         m = gamma(rep)
         full = frozenset(m.ground)
         complemented = frozenset(full - b for b in m.bases_label_sets())
-        for base in _base_id_sets(rep, m):
+        for b in sorted(m.bases):
+            base = rep.ids_for(m.labels_of(b))
             cases += 1
             tag = f"instance {i} base {sorted(base)}"
             std = standardize(rep, base)
@@ -231,41 +226,34 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
     rng = random.Random(seed)
     failures: list[str] = []
     cases = 0
+    # (name, surgery, matroid minor, rank oracle), built at call time so
+    # that a rebound module global is the one called
+    surgeries = (
+        ("restriction", restrict_representation, restrict, lambda b, _, x: brute_restrict_bases(b, x)),
+        ("contraction", contract_representation, contract_to, brute_contract_bases),
+    )
     for i in range(count):
         rep = random_representation(rng, max_vertices)
         m0 = gamma(rep)
-        base = _base_id_sets(rep, m0)[0]
-        std = standardize(rep, base)
+        std = standardize(rep, rep.ids_for(m0.labels_of(min(m0.bases))))
         m = gamma(std)
         for x_mask in range(m.full_mask + 1):
             x_labels = m.labels_of(x_mask)
             xs = std.ids_for(x_labels)
             cases += 1
             tag = f"instance {i} X={sorted(x_labels)}"
-
-            rr = restrict_representation(std, xs)
-            if not is_standard(rr):
-                _clip(failures, f"{tag}: restriction not standard")
-            if rr.arc_count > std.arc_count:
-                _clip(failures, f"{tag}: restriction gained arcs")
-            got = gamma(rr)
-            if got != restrict(m, x_labels):
-                _clip(failures, f"{tag}: restriction represents the wrong matroid")
-            oracle = {m.labels_of(b) for b in brute_restrict_bases(m.bases, x_mask)}
-            if got.bases_label_sets() != oracle:
-                _clip(failures, f"{tag}: restriction disagrees with the rank oracle")
-
-            cc = contract_representation(std, xs)
-            if not is_standard(cc):
-                _clip(failures, f"{tag}: contraction not standard")
-            if cc.arc_count > std.arc_count:
-                _clip(failures, f"{tag}: contraction gained arcs")
-            got = gamma(cc)
-            if got != contract_to(m, x_labels):
-                _clip(failures, f"{tag}: contraction represents the wrong matroid")
-            oracle = {m.labels_of(b) for b in brute_contract_bases(m.bases, m.full_mask, x_mask)}
-            if got.bases_label_sets() != oracle:
-                _clip(failures, f"{tag}: contraction disagrees with the rank oracle")
+            for name, surgery, minor, oracle in surgeries:
+                cut = surgery(std, xs)
+                if not is_standard(cut):
+                    _clip(failures, f"{tag}: {name} not standard")
+                if cut.arc_count > std.arc_count:
+                    _clip(failures, f"{tag}: {name} gained arcs")
+                got = gamma(cut)
+                if got != minor(m, x_labels):
+                    _clip(failures, f"{tag}: {name} represents the wrong matroid")
+                want = {m.labels_of(b) for b in oracle(m.bases, m.full_mask, x_mask)}
+                if got.bases_label_sets() != want:
+                    _clip(failures, f"{tag}: {name} disagrees with the rank oracle")
     return SuiteResult("surgery", cases, failures, time.perf_counter() - t0)
 
 
@@ -279,12 +267,7 @@ def routing_oracle_suite(max_vertices: int = 6, seed: int = 7) -> SuiteResult:
     for i in range(_ORACLE_INSTANCES):
         n = rng.randint(1, max_vertices)
         density = rng.choice([0.1, 0.2, 0.35, 0.5])
-        arcs = {
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if rng.random() < (0.08 if u == v else density)
-        }
+        arcs = _random_arcs(rng, n, density, 0.08)
         d = Digraph.build(n, arcs)
         xs = frozenset(v for v in range(n) if rng.random() < 0.5)
         ts = frozenset(v for v in range(n) if rng.random() < 0.4)
@@ -368,6 +351,7 @@ def minor_complexity_suite(limits: SearchLimits | None = None) -> SuiteResult:
             cache[m] = cert.value
         return cache[m]
 
+    minors = (("restriction", restrict), ("contraction", contract_to))  # globals read at call time
     letters = ("a", "b", "c", "d")
     for size in range(len(letters) + 1):
         for m in all_matroids(letters[:size]):
@@ -378,12 +362,9 @@ def minor_complexity_suite(limits: SearchLimits | None = None) -> SuiteResult:
                 _clip(failures, f"{tag}: dual has different arc complexity")
             for x_bits in range(m.full_mask + 1):
                 x_labels = m.labels_of(x_bits)
-                rv = arcc(restrict(m, x_labels))
-                if rv > value:
-                    _clip(failures, f"{tag}: restriction to {sorted(x_labels)} exceeds {value}")
-                cv = arcc(contract_to(m, x_labels))
-                if cv > value:
-                    _clip(failures, f"{tag}: contraction to {sorted(x_labels)} exceeds {value}")
+                for name, minor in minors:
+                    if arcc(minor(m, x_labels)) > value:
+                        _clip(failures, f"{tag}: {name} to {sorted(x_labels)} exceeds {value}")
     return SuiteResult(
         "minor-complexity",
         cases,
@@ -416,24 +397,19 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
         Matroid.from_label_sets(("a", "b", "c"), [("a", "b"), ("a", "c")]),
         uniform(2, 4),
     ]
-    widths = {}
     for m in singles:
         report = f_width(m, fhat, limits)
-        widths[m] = report
         if not report.exhaustive:
             _clip(failures, f"{m!r}: width search not exhaustive")
-
-    for m in singles:
-        base_value = widths[m].value
         dual_report = f_width(dual(m), fhat, limits)
         cases += 1
-        if dual_report.value != base_value:
+        if dual_report.value != report.value:
             _clip(failures, f"{m!r}: width of the dual differs")
         for x_labels, y_labels, _ in nested_minors(m):
             minor = restrict(contract_to(m, y_labels), x_labels)
             minor_report = f_width(minor, fhat, limits)
             cases += 1
-            if minor_report.value > base_value:
+            if minor_report.value > report.value:
                 _clip(
                     failures,
                     f"{m!r}: minor X={list(x_labels)} Y={list(y_labels)} has larger width",
@@ -447,12 +423,9 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     ]
     for m, n in pairs:
         n = relabel(n, {lab: lab + "*" for lab in n.ground})
-        s = direct_sum(m, n)
-        rm = f_width(m, fhat, limits)
-        rn = f_width(n, fhat, limits)
-        rs = f_width(s, fhat, limits)
+        rm, rn, rs = [f_width(x, fhat, limits) for x in (m, n, direct_sum(m, n))]
         cases += 1
-        if not (rm.exhaustive and rn.exhaustive and rs.exhaustive):
+        if not all(r.exhaustive for r in (rm, rn, rs)):
             _clip(failures, f"sum {m!r} + {n!r}: width search not exhaustive")
             continue
         if rs.value > max(rm.value, rn.value):

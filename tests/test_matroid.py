@@ -7,7 +7,7 @@ import pytest
 
 from gammoids.bruteforce import brute_contract_bases, brute_gamma_bases, brute_restrict_bases
 from gammoids.complexity import uniform_rep
-from gammoids.digraph import Digraph
+from gammoids.digraph import Digraph, digraph_from_dict
 from gammoids.matroid import (
     EnumerationLimitError,
     Matroid,
@@ -23,7 +23,7 @@ from gammoids.matroid import (
     uniform,
     validate_matroid,
 )
-from gammoids.representation import Representation
+from gammoids.representation import Representation, rep_from_dict
 from gammoids.suites import all_matroids, random_representation
 
 
@@ -40,6 +40,44 @@ def test_uniform_rank0_and_free():
 def test_uniform_rejects_bad_rank():
     with pytest.raises(ValueError):
         uniform(3, 2)
+
+
+def test_uniform_rejects_non_integer_sizes_by_value():
+    with pytest.raises(ValueError, match="rank 2.0 is not an integer"):
+        uniform(2.0, 4)
+
+
+def test_relabel_rejects_a_mapping_that_is_no_mapping():
+    with pytest.raises(ValueError, match="label mapping 5 is not a mapping"):
+        relabel(uniform(1, 2), 5)
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda: Digraph.build(["a", "b"]).ids(["a", "zz"]),
+        lambda: uniform(1, 2).mask_of(["1", "zz"]),
+        lambda: Matroid.from_label_sets(["a", "b"], [["a"], ["zz"]]),
+        lambda: digraph_from_dict({"vertices": ["a", "b"], "arcs": [["a", "b"], ["zz", "a"]]}),
+        lambda: rep_from_dict({"digraph": {"vertices": ["a"]}, "targets": ["zz"], "ground": ["a"]}),
+        lambda: matroid_from_dict({"ground": ["a", "b"], "bases": [["a"], ["zz"]]}),
+    ],
+    ids=["Digraph.ids", "Matroid.mask_of", "Matroid.from_label_sets", "digraph_from_dict",
+         "rep_from_dict", "matroid_from_dict"],
+)
+def test_an_unknown_label_is_a_value_error_naming_it(lookup):
+    with pytest.raises(ValueError, match="'zz'"):
+        lookup()
+
+
+def test_an_unhashable_label_is_an_unknown_label():
+    for lookup in (
+        lambda: Digraph.build(["a"]).ids([["a"]]),
+        lambda: uniform(1, 2).mask_of([["1"]]),
+        lambda: Matroid.from_label_sets(["a"], [[["a"]]]),
+    ):
+        with pytest.raises(ValueError, match=r"unknown label \['.'\]"):
+            lookup()
 
 
 def test_construction_guards():
