@@ -215,10 +215,13 @@ class SuperAdditiveFn(NamedTuple):
         if spec == "fhat":
             return cls.fhat()
         if spec.startswith("linear:"):
+            coeff = spec.split(":", 1)[1]
             try:
-                return cls.linear(Fraction(spec.split(":", 1)[1]))
+                return cls.linear(Fraction(coeff))
             except ZeroDivisionError as exc:
                 raise ValueError(f"function spec {spec!r} divides by zero") from exc
+            except ValueError as exc:
+                raise ValueError(f"function spec {spec!r}: {coeff!r} is not a rational number") from exc
         raise ValueError(f"unknown function spec {spec!r} (expected fhat or linear:<c>)")
 
     def __call__(self, x: int) -> int:
@@ -498,14 +501,15 @@ def search_form(bases: frozenset[int]) -> Matroid:
     compressed in ascending order and labelled "00", "01", .., and of that
     family and its complements the one with the smaller sorted base tuple.
     Equal for the bases of a matroid, of its dual, of it plus loops or
-    coloops, and of any relabelling that keeps the ground order."""
+    coloops, and of any relabelling that keeps the ground order.  Sorted
+    labels and equicardinal kept masks make the result valid unchecked."""
     union, inter = _union_and_intersection(bases)
     free = union & ~inter
     kept = [i for i in range(free.bit_length()) if free >> i & 1]
     full = (1 << len(kept)) - 1
     masks = sorted(sum(1 << j for j, i in enumerate(kept) if b >> i & 1) for b in bases)
     cobases = sorted(full & ~b for b in masks)
-    return Matroid(_POSITION_LABELS[: len(kept)], frozenset(min(masks, cobases)))
+    return tuple.__new__(Matroid, (_POSITION_LABELS[: len(kept)], frozenset(min(masks, cobases))))
 
 
 def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) -> WidthReport:
@@ -515,10 +519,11 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
 
     `f` is validated super-additive on 1..2|E| first.  Each minor comes from
     ``nested_minors`` as a base-mask family and costs one lookup in a dict
-    from family to arc value, private to this call.  A family is filled the
-    first time it is seen, from the value of its ``search_form`` (Lemma B):
-    searched once per form while time remains, None when the limits stopped
-    that search or the deadline had passed before it.
+    from family to arc value, private to this call; repeated contractions
+    yield the same family objects, whose hashes are cached.  A family is
+    filled the first time it is seen, from the value of its ``search_form``
+    (Lemma B): searched once per form while time remains, None when the
+    limits stopped that search or the deadline had passed before it.
 
     The argmax is the first maximising minor in walk order.  Each distinct
     (arc value, |X|) pair builds its ratio once and is compared with the best
@@ -564,15 +569,8 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
                 if ratio > best:
                     best = ratio
                     best_arg = (x_labels, y_labels)
-        entries.append(MinorEntry(x_labels, y_labels, value, value is not None, ratio))
-    return WidthReport(
-        value=best,
-        argmax=best_arg,
-        table=tuple(entries),
-        exhaustive=exhaustive,
-        searches=searches,
-        f=f,
-    )
+        entries.append(tuple.__new__(MinorEntry, (x_labels, y_labels, value, value is not None, ratio)))
+    return WidthReport(best, best_arg, tuple(entries), exhaustive, searches, f)
 
 
 def in_class(
@@ -621,7 +619,8 @@ def width_report_json(report: WidthReport) -> str:
     """The width report as ``json.dumps(.., indent=2)`` lays it out, byte for
     byte, written row by row: each table row joins its restrict and contract
     label lists, memoized by label tuple, with its arcs/exhaustive/ratio
-    tail, memoized by that triple."""
+    tail, memoized by arcs, flag and the ratio's integer pair (not a slow
+    `Fraction` hash)."""
     head = json.dumps(
         {
             "value": str(report.value),
@@ -632,20 +631,21 @@ def width_report_json(report: WidthReport) -> str:
         indent=2,
     )
     lists: dict[tuple[str, ...], str] = {}
-    tails: dict[tuple[int | None, bool, Fraction | None], str] = {}
+    tails: dict[tuple, str] = {}
     rows = []
-    for e in report.table:
-        restrict = lists.get(e.restrict_labels)
+    for x_labels, y_labels, arcs, exhaustive, ratio in report.table:
+        restrict = lists.get(x_labels)
         if restrict is None:
-            restrict = lists[e.restrict_labels] = _nested(list(e.restrict_labels), 3)
-        contract = lists.get(e.contract_labels)
+            restrict = lists[x_labels] = _nested(list(x_labels), 3)
+        contract = lists.get(y_labels)
         if contract is None:
-            contract = lists[e.contract_labels] = _nested(list(e.contract_labels), 3)
-        key = (e.arcs, e.exhaustive, e.ratio)
+            contract = lists[y_labels] = _nested(list(y_labels), 3)
+        key = (arcs, exhaustive) if ratio is None else (
+            arcs, exhaustive, ratio.numerator, ratio.denominator)
         tail = tails.get(key)
         if tail is None:
-            ratio = None if e.ratio is None else str(e.ratio)
-            fields = _nested({"arcs": e.arcs, "exhaustive": e.exhaustive, "ratio": ratio}, 2)
+            text = None if ratio is None else str(ratio)
+            fields = _nested({"arcs": arcs, "exhaustive": exhaustive, "ratio": text}, 2)
             tail = tails[key] = fields[2:-6]  # the lines between the braces
         rows.append(
             f'    {{\n      "restrict": {restrict},\n      "contract": {contract},\n{tail}\n    }}'

@@ -322,6 +322,11 @@ def test_in_class_rejects_a_zero_denominator(matroid_file, capsys, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_linear_coefficient_that_is_no_number_names_the_spec(matroid_file, capsys):
+    assert main(["fwidth", matroid_file, "--f", "linear:x"]) == 1
+    assert capsys.readouterr().err == "error: function spec 'linear:x': 'x' is not a rational number\n"
+
+
 def test_in_class_with_table_function(matroid_file, tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text(json.dumps([1] + [2 * x for x in range(1, 10)]))

@@ -717,6 +717,47 @@ def test_four_fold_sum_width_report_is_unchanged():
     assert report.searches == 5
 
 
+def test_the_width_walk_contracts_each_y_once_and_forms_each_family_once(monkeypatch):
+    # on pairs ab, cd, ef, gh: 2^8 contractions, one search form per distinct
+    # base family and five searches
+    from gammoids import complexity, matroid
+
+    m = uniform(0, 0)
+    for pair in ("ab", "cd", "ef", "gh"):
+        m = direct_sum(m, relabel(uniform(1, 2), {"1": pair[0], "2": pair[1]}))
+    families = {bases for _, _, bases in nested_minors(m)}
+    calls = {"contract_to": 0, "search_form": 0}
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(matroid, "contract_to", counting(contract_to))
+    monkeypatch.setattr(complexity, "search_form", counting(search_form))
+    report = f_width(m, SuperAdditiveFn.fhat())
+    assert calls == {"contract_to": 256, "search_form": len(families)}
+    assert len(families) == 323 and report.searches == 5
+
+
+def test_contractions_that_repeat_under_other_labels_keep_the_width_table():
+    # U(2,3) on abc plus U(1,3) on xyz: contracting to a or to x leaves one
+    # loop, so the two share one family walk
+    abc = relabel(uniform(2, 3), {"1": "a", "2": "b", "3": "c"})
+    m = direct_sum(abc, relabel(uniform(1, 3), {"1": "x", "2": "y", "3": "z"}))
+    assert contract_to(m, ("a",)).bases == contract_to(m, ("x",)).bases == {0}
+    walk = {}
+    for x_labels, y_labels, bases in nested_minors(m):
+        minor = restrict(contract_to(m, y_labels), x_labels)
+        assert restrict(Matroid(y_labels, bases), x_labels) == minor
+        walk[x_labels, y_labels] = bases
+    assert walk[(), ("a",)] is walk[(), ("x",)] and walk[("a",), ("a",)] is walk[("x",), ("x",)]
+    fhat = SuperAdditiveFn.fhat()
+    assert f_width(m, fhat).table == _unfolded_table(m, fhat)
+
+
 @pytest.mark.parametrize(
     "limits",
     [SearchLimits(max_arcs=1), SearchLimits(max_arcs=2), SearchLimits(wall_secs=0.05)],
