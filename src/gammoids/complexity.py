@@ -157,11 +157,12 @@ class ComplexityCertificate(NamedTuple):
 
 
 class MinorEntry(NamedTuple):
+    """A width-table row: X, Y and the minor's arc value (None when the
+    limits left it unsolved); its flag and ratio arcs / f(|X|) are derived."""
+
     restrict_labels: tuple[str, ...]
     contract_labels: tuple[str, ...]
     arcs: int | None
-    exhaustive: bool
-    ratio: Fraction | None
 
 
 class WidthReport(NamedTuple):
@@ -184,13 +185,12 @@ class SuperAdditiveFn(NamedTuple):
     """Positive-integer-valued function used as the width denominator.
 
     Families: the built-in ``max(1, x)``, linear ``c * max(1, x)``, and an
-    explicit value table for ``0..len-1``.  Values must be integers >= 1;
-    the linear coefficient may be rational as long as every value stays a
-    positive integer.
+    explicit value table for ``0..len-1``.  Values must be integers >= 1,
+    so the linear coefficient c = f(1) is an integer.
     """
 
     kind: str
-    coeff: Fraction = Fraction(1)
+    coeff: int = 1
     table: tuple[int, ...] = ()
 
     @classmethod
@@ -199,7 +199,10 @@ class SuperAdditiveFn(NamedTuple):
 
     @classmethod
     def linear(cls, coeff) -> "SuperAdditiveFn":
-        return cls("linear", coeff=Fraction(coeff))
+        c = Fraction(coeff)
+        if c.denominator != 1:
+            raise ValueError(f"the linear coefficient must be an integer, got {c}")
+        return cls("linear", coeff=int(c))
 
     @classmethod
     def from_table(cls, values: Iterable[int]) -> "SuperAdditiveFn":
@@ -217,23 +220,19 @@ class SuperAdditiveFn(NamedTuple):
         if spec.startswith("linear:"):
             coeff = spec.split(":", 1)[1]
             try:
-                return cls.linear(Fraction(coeff))
+                c = Fraction(coeff)
             except ZeroDivisionError as exc:
                 raise ValueError(f"function spec {spec!r} divides by zero") from exc
             except ValueError as exc:
                 raise ValueError(f"function spec {spec!r}: {coeff!r} is not a rational number") from exc
+            return cls.linear(c)
         raise ValueError(f"unknown function spec {spec!r} (expected fhat or linear:<c>)")
 
     def __call__(self, x: int) -> int:
         if x < 0:
             raise ValueError("defined on the naturals only")
-        if self.kind == "fhat":
-            return max(1, x)
-        if self.kind == "linear":
-            val = self.coeff * max(1, x)
-            if val.denominator != 1:
-                raise ValueError(f"value at {x} is {val}, not a natural number")
-            return int(val)
+        if self.kind in ("fhat", "linear"):
+            return self.coeff * max(1, x)
         if self.kind == "table":
             if x >= len(self.table):
                 raise ValueError(f"value table covers 0..{len(self.table) - 1}, asked for {x}")
@@ -543,7 +542,7 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
     searches = 0
     by_form: dict[Matroid, int | None] = {}
     by_family: dict[frozenset[int], int | None] = {}
-    ratios: dict[tuple[int, int], Fraction] = {}
+    compared: set[tuple[int, int]] = set()  # the (arc value, |X|) pairs seen
     for x_labels, y_labels, bases in nested_minors(m):
         try:
             value = by_family[bases]
@@ -559,17 +558,16 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
             # a form left unsearched past the deadline would stay so: keep None
             value = by_family[bases] = by_form.get(form)
         if value is None:
-            ratio = None
             exhaustive = False
         else:
             key = (value, len(x_labels))
-            ratio = ratios.get(key)
-            if ratio is None:
-                ratio = ratios[key] = Fraction(value, f(key[1]))
+            if key not in compared:
+                compared.add(key)
+                ratio = Fraction(value, f(key[1]))
                 if ratio > best:
                     best = ratio
                     best_arg = (x_labels, y_labels)
-        entries.append(tuple.__new__(MinorEntry, (x_labels, y_labels, value, value is not None, ratio)))
+        entries.append(tuple.__new__(MinorEntry, (x_labels, y_labels, value)))
     return WidthReport(best, best_arg, tuple(entries), exhaustive, searches, f)
 
 
@@ -619,8 +617,7 @@ def width_report_json(report: WidthReport) -> str:
     """The width report as ``json.dumps(.., indent=2)`` lays it out, byte for
     byte, written row by row: each table row joins its restrict and contract
     label lists, memoized by label tuple, with its arcs/exhaustive/ratio
-    tail, memoized by arcs, flag and the ratio's integer pair (not a slow
-    `Fraction` hash)."""
+    tail, derived and memoized once per (arcs, |X|) pair."""
     head = json.dumps(
         {
             "value": str(report.value),
@@ -631,21 +628,20 @@ def width_report_json(report: WidthReport) -> str:
         indent=2,
     )
     lists: dict[tuple[str, ...], str] = {}
-    tails: dict[tuple, str] = {}
+    tails: dict[tuple[int | None, int], str] = {}
     rows = []
-    for x_labels, y_labels, arcs, exhaustive, ratio in report.table:
+    for x_labels, y_labels, arcs in report.table:
         restrict = lists.get(x_labels)
         if restrict is None:
             restrict = lists[x_labels] = _nested(list(x_labels), 3)
         contract = lists.get(y_labels)
         if contract is None:
             contract = lists[y_labels] = _nested(list(y_labels), 3)
-        key = (arcs, exhaustive) if ratio is None else (
-            arcs, exhaustive, ratio.numerator, ratio.denominator)
+        key = (arcs, len(x_labels))
         tail = tails.get(key)
         if tail is None:
-            text = None if ratio is None else str(ratio)
-            fields = _nested({"arcs": arcs, "exhaustive": exhaustive, "ratio": text}, 2)
+            ratio = None if arcs is None else str(Fraction(arcs, report.f(key[1])))
+            fields = _nested({"arcs": arcs, "exhaustive": arcs is not None, "ratio": ratio}, 2)
             tail = tails[key] = fields[2:-6]  # the lines between the braces
         rows.append(
             f'    {{\n      "restrict": {restrict},\n      "contract": {contract},\n{tail}\n    }}'

@@ -15,9 +15,9 @@ and can be shared freely across concurrent tasks.
 Caller input is checked once, where it enters.  `collection` is the one
 guard that the public constructors, and the public functions of `digraph`,
 `routing`, `matroid` and `representation` that take vertex ids, labels, arcs
-or bases, put around that argument: one that is not a collection, or an arc
-that is not a pair, is a ValueError naming it.  A value-type argument of a
-function (a `Digraph`, `Matroid` or `Representation`) is the caller's
+or bases, put around that argument: a string or a non-collection there, or
+an arc that is not a pair, is a ValueError naming it.  A value-type argument
+of a function (a `Digraph`, `Matroid` or `Representation`) is the caller's
 contract, not checked: `gamma(5)` or `direct_sum(m, 5)` fails as Python does.
 """
 
@@ -44,7 +44,10 @@ def as_int(value, what: str) -> int:
 
 def collection(value, what: str) -> Iterator:
     """An iterator over `value`, or a ValueError naming `value` when it is
-    not a collection.  It looks at the argument once, never at its items."""
+    not a collection.  It looks at the argument once, never at its items; a
+    str or bytes is one value, not a collection of characters."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{what} {value!r} is a string, not a collection")
     try:
         return iter(value)
     except TypeError:

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -117,6 +119,17 @@ def test_transform_rebase_requires_base(rep_file, capsys):
     assert main(["transform", rep_file, "rebase"]) == 1
 
 
+@pytest.mark.parametrize("op", ["standardize", "rebase"])
+def test_transform_onto_a_given_base(rep_file, capsys, op):
+    assert main(["transform", rep_file, op, "--base", "3,4", "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["targets"] == ["3", "4"]
+
+
+def test_transform_onto_a_base_with_an_unknown_label(rep_file, capsys):
+    assert main(["transform", rep_file, "rebase", "--base", "3,zz"]) == 1
+    assert capsys.readouterr().err == "error: unknown label 'zz'\n"
+
+
 def test_arc_complexity_command(matroid_file, capsys):
     assert main(["arc-complexity", matroid_file]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -223,6 +236,16 @@ def test_fwidth_stdout_bytes_on_the_width_benchmark_inputs(tmp_path, capsys, see
     assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
 
 
+def test_a_text_only_stdout_gets_the_same_text(matroid_file, capsys):
+    # io.StringIO has no binary buffer, so _emit writes the text itself
+    assert main(["fwidth", matroid_file]) == 0
+    seen = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as text_only:
+        assert main(["fwidth", matroid_file]) == 0
+    assert text_only.getvalue() == seen
+    assert capsys.readouterr().out == ""
+
+
 def _cli_env(**extra) -> dict:
     """The environment of a CLI child process that imports this `gammoids`."""
     src = str(Path(gammoids.__file__).resolve().parent.parent)
@@ -325,6 +348,14 @@ def test_in_class_rejects_a_zero_denominator(matroid_file, capsys, flags):
 def test_a_linear_coefficient_that_is_no_number_names_the_spec(matroid_file, capsys):
     assert main(["fwidth", matroid_file, "--f", "linear:x"]) == 1
     assert capsys.readouterr().err == "error: function spec 'linear:x': 'x' is not a rational number\n"
+
+
+def test_a_linear_coefficient_must_be_an_integer(matroid_file, capsys):
+    # f(1) = c is a value of f, so 3/2 fails for that reason, and 4/2 is 2
+    assert main(["fwidth", matroid_file, "--f", "linear:3/2"]) == 1
+    assert capsys.readouterr().err == "error: the linear coefficient must be an integer, got 3/2\n"
+    assert main(["fwidth", matroid_file, "--f", "linear:4/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["f"] == {"kind": "linear", "coeff": "2"}
 
 
 def test_in_class_with_table_function(matroid_file, tmp_path, capsys):

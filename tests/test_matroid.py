@@ -80,6 +80,21 @@ def test_an_unhashable_label_is_an_unknown_label():
             lookup()
 
 
+@pytest.mark.parametrize("labels", ["ab", b"ab"])
+def test_a_string_is_one_label_not_a_collection_of_them(labels):
+    # on a ground holding a, b and ab, "ab" would read as {a, b}
+    m = Matroid.from_label_sets(("a", "ab", "b"), [("a", "ab", "b")])
+    d = Digraph.build(["a", "ab", "b"])
+    for lookup, what in (
+        (lambda: restrict(m, labels), "labels"),
+        (lambda: m.mask_of(labels), "labels"),
+        (lambda: d.ids(labels), "vertex labels"),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} {labels!r} is a string, not a collection$"):
+            lookup()
+    assert restrict(m, ["ab"]).ground == ("ab",) and d.ids(["ab"]) == {1}
+
+
 def test_construction_guards():
     with pytest.raises(ValueError):
         Matroid(("a",), frozenset())  # no base

@@ -1,14 +1,16 @@
 """The property suites report the failures of their callees.
 
 Each test replaces a callee that a suite looks up in `gammoids.suites` by a
-wrong one and pins the suite's whole failure list: the messages, their
-order and where the list is clipped.
+wrong one, or hands the suite a bad certificate, and pins the suite's whole
+failure list: the messages, their order and where the list is clipped.
 """
 
 from gammoids import suites
-from gammoids.digraph import Digraph
+from gammoids.complexity import ComplexityCertificate, uniform_rep
+from gammoids.digraph import Digraph, opposite
 from gammoids.matroid import uniform
 from gammoids.representation import Representation
+from gammoids.routing import Routing
 
 
 def _complete(rep, xs):
@@ -108,4 +110,117 @@ def test_closure_suite_checks_each_single_against_its_dual_and_minors(monkeypatc
         f"{u23}: minor {full} has larger width",
         f"{abc}: minor X=['a', 'b', 'c'] Y=['a', 'b', 'c'] has larger width",
         f"{u24}: width of the dual differs",
+    ]
+
+
+def test_standardization_suite_reports_each_check(monkeypatch):
+    # the arc-free digraph on the input's targets plus the base: not standard
+    # when a target lies outside the ground, else a one-base matroid; the
+    # "dual" is the standard representation itself
+    monkeypatch.setattr(
+        suites,
+        "standardize",
+        lambda rep, base: Representation(Digraph.build(rep.digraph.labels), rep.targets | base, rep.ground),
+    )
+    monkeypatch.setattr(suites, "dual_representation", lambda rep: rep)
+    result = suites.standardization_suite(count=3, max_vertices=3, seed=7)
+    assert result.cases == 4
+    assert result.failures == [
+        "instance 0 base [0]: standardize output is not standard",
+        "instance 1 base [1]: dual representation does not represent the dual",
+        "instance 1 base [1]: dual bases are not the complements",
+        "instance 2 base [0]: standardize changed the matroid",
+        "instance 2 base [1]: standardize changed the matroid",
+    ]
+
+
+def test_routing_oracle_suite_reports_each_check(monkeypatch):
+    # every vertex on its own one-vertex path: invalid unless every vertex is
+    # a target, and then it starts outside X and is too large whenever X is
+    # not every vertex
+    monkeypatch.setattr(
+        suites, "max_routing", lambda d, xs, ts: Routing([(v,) for v in range(d.vertex_count)], ts)
+    )
+    result = suites.routing_oracle_suite(max_vertices=2, seed=1)
+    assert result.cases == 1000
+    invalid = "invalid routing (path (0,) ends outside the target set)"
+    outside, size = "routing starts outside X", "engine size {} != oracle size {}"
+    assert result.failures == [
+        f"instance 0: n=1 arcs=[] X=[0] T=[]: {invalid}",
+        f"instance 1: n=2 arcs=[(0, 1)] X=[1] T=[]: {invalid}",
+        f"instance 3: n=1 arcs=[] X=[] T=[]: {invalid}",
+        f"instance 4: n=1 arcs=[] X=[] T=[0]: {outside}",
+        f"instance 4: n=1 arcs=[] X=[] T=[0]: {size.format(1, 0)}",
+        f"instance 5: n=1 arcs=[] X=[] T=[]: {invalid}",
+        f"instance 6: n=1 arcs=[] X=[] T=[0]: {outside}",
+        f"instance 6: n=1 arcs=[] X=[] T=[0]: {size.format(1, 0)}",
+        f"instance 7: n=2 arcs=[(1, 0)] X=[1] T=[1]: {invalid}",
+        f"instance 8: n=1 arcs=[] X=[] T=[]: {invalid}",
+        f"instance 9: n=1 arcs=[] X=[] T=[]: {invalid}",
+        f"instance 11: n=2 arcs=[(1, 0)] X=[] T=[1]: {invalid}",
+        f"instance 12: n=2 arcs=[] X=[0] T=[]: {invalid}",
+        f"instance 13: n=1 arcs=[] X=[0] T=[]: {invalid}",
+        f"instance 15: n=2 arcs=[] X=[0, 1] T=[]: {invalid}",
+        f"instance 16: n=2 arcs=[(1, 0), (1, 1)] X=[0] T=[0, 1]: {outside}",
+        f"instance 16: n=2 arcs=[(1, 0), (1, 1)] X=[0] T=[0, 1]: {size.format(2, 1)}",
+        f"instance 18: n=1 arcs=[] X=[0] T=[]: {invalid}",
+        f"instance 19: n=2 arcs=[(0, 1), (1, 0)] X=[0, 1] T=[]: {invalid}",
+        f"instance 20: n=2 arcs=[(1, 0)] X=[0] T=[]: {invalid}",
+        f"instance 21: n=2 arcs=[(0, 1)] X=[1] T=[1]: {invalid}",
+        f"instance 22: n=1 arcs=[] X=[] T=[0]: {outside}",
+        f"instance 22: n=1 arcs=[] X=[] T=[0]: {size.format(1, 0)}",
+        f"instance 23: n=2 arcs=[(1, 0)] X=[0] T=[]: {invalid}",
+        f"instance 25: n=2 arcs=[] X=[0] T=[1]: {invalid}",
+        "... further failures suppressed",
+    ]
+
+
+def test_arc_values_suite_reports_each_check(monkeypatch):
+    # twice the value, on the witness with every arc reversed: only the
+    # arc-free witnesses of value 0 still pass
+    arc_complexity = suites.arc_complexity
+
+    def wrong(m, limits):
+        cert = arc_complexity(m, limits)
+        w = cert.witness
+        return cert._replace(
+            value=2 * cert.value, witness=Representation(opposite(w.digraph), w.targets, w.ground)
+        )
+
+    monkeypatch.setattr(suites, "arc_complexity", wrong)
+    result = suites.arc_values_suite()
+    assert result.cases == 15
+    assert result.failures == [
+        message
+        for name, value, doubled in (("U(1,2)", 1, 2), ("U(1,3)", 2, 4), ("U(2,3)", 2, 4), ("U(2,4)", 4, 8))
+        for message in (
+            f"{name}: arc complexity {doubled} != {value}",
+            f"{name}: witness is not standard",
+            f"{name}: witness arc count mismatch",
+            f"{name}: witness fails the path-family oracle",
+        )
+    ]
+
+
+def test_bounds_suite_reports_each_check_of_a_bad_certificate():
+    # U(1,2) with a value above the closed-form bound, and with one arc for
+    # a witness that has two: a loop on its target and a dangling internal
+    u12 = uniform(1, 2)
+    bad = Representation(Digraph(("1", "2", "i"), [(0, 0), (1, 2)]), [0], [0, 1])
+    certificates = [
+        (u12, ComplexityCertificate(26, uniform_rep(1, 2), (), 0.0)),
+        (u12, ComplexityCertificate(1, bad, (), 0.0)),
+    ]
+    result = suites.bounds_suite(certificates)
+    assert result.cases == 2
+    tag = "certificate for Matroid(ground=['1', '2'], bases=[['1'], ['2']])"
+    assert result.failures == [
+        f"{tag}: value exceeds the closed-form bound",
+        f"{tag}: witness arc count differs from the value",
+        f"{tag}: witness arc count differs from the value",
+        f"{tag}: witness represents another matroid",
+        f"{tag}: witness is not standard",
+        f"{tag}: witness has a loop",
+        f"{tag}: witness has an internal vertex of in- or out-degree below 2",
+        f"{tag}: witness has more internal vertices than Lemma A allows",
     ]
