@@ -180,18 +180,17 @@ def cmd_transform(args) -> int:
         expect = matroid_dual
     elif args.op in ("standardize", "rebase"):
         if args.base:
-            base = rep.ids_for(_labels_arg(args.base))
+            base = rep.digraph.ids(_labels_arg(args.base))
         else:
             if args.op == "rebase":
                 raise ValueError("rebase needs --base")
-            m = before if before is not None else gamma(rep)
-            base = rep.ids_for(m.labels_of(min(m.bases)))
+            base = rep.ids_at(min((before or gamma(rep)).bases))
         out = standardize(rep, base) if args.op == "standardize" else rebase(rep, base)
         expect = lambda m: m  # both keep the represented matroid
     elif args.op in ("restrict", "contract"):
         if subset_labels is None:
             raise ValueError(f"{args.op} needs --subset")
-        xs = rep.ids_for(subset_labels)
+        xs = rep.digraph.ids(subset_labels)
         if args.op == "restrict":
             out = restrict_representation(rep, xs)
             expect = lambda m: matroid_restrict(m, subset_labels)

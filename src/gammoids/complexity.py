@@ -199,6 +199,8 @@ class SuperAdditiveFn(NamedTuple):
 
     @classmethod
     def linear(cls, coeff) -> "SuperAdditiveFn":
+        if isinstance(coeff, (bool, str)):
+            raise ValueError(f"the linear coefficient must be a number, got {coeff!r}")
         c = Fraction(coeff)
         if c.denominator != 1:
             raise ValueError(f"the linear coefficient must be an integer, got {c}")
@@ -530,7 +532,10 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
     only grows, so it can never be strictly greater.
     """
     check_enumeration_limit(len(m.ground))
-    if not is_superadditive(f, max(2 * len(m.ground), 2)):
+    upto = max(2 * len(m.ground), 2)
+    if f.kind == "table" and len(f.table) <= upto:
+        raise ValueError(f"the value table covers 0..{len(f.table) - 1}, the width needs 0..{upto}")
+    if not is_superadditive(f, upto):
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None

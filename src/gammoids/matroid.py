@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
-from .digraph import as_int, collection, label_positions, members
+from .digraph import as_int, collection, label_positions
 from .routing import _link, _routable_ids
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -256,14 +256,13 @@ def gamma(rep: "Representation") -> Matroid:
     path; by Menger's theorem one maximum routing from level 1 routes a
     largest routable subset, so the routed starts of one `_link` call are
     the rank r and a base.  That base is never flow-checked; the other
-    r-sets are, with `_routable_ids`, when r >= 2.  Only the bases are
-    re-indexed, onto the ascending ground ids; the `Matroid` is built
-    without a second check when the ground labels in id order are sorted,
-    its stored order, and through the checked constructor's remap otherwise.
+    r-sets are, with `_routable_ids`, when r >= 2.  The positions are the
+    ground ids in label order, ``rep.ground_order()``, which is the
+    `Matroid`'s stored order, so it is built without a second check.
     """
     d, targets = rep.digraph, rep.target_mask
     out = d.out
-    ids = members(rep.ground_mask)
+    ids = rep.ground_order()
     check_enumeration_limit(len(ids))
 
     reach, prev = targets, -1
@@ -282,10 +281,7 @@ def gamma(rep: "Representation") -> Matroid:
     bases = frozenset(
         b for s, b in zip(sets, positions) if rank < 2 or s == base or _routable_ids(out, targets, s)
     )
-    labels = tuple(map(d.labels.__getitem__, ids))
-    if list(labels) != sorted(labels):
-        return Matroid(labels, bases)
-    return tuple.__new__(Matroid, (labels, bases))
+    return tuple.__new__(Matroid, (tuple(map(d.labels.__getitem__, ids)), bases))
 
 
 # -- JSON -------------------------------------------------------------------

@@ -93,8 +93,13 @@ class Representation(_RepresentationFields):
     def target_labels(self) -> tuple[str, ...]:
         return tuple(self.digraph.labels[i] for i in members(self.target_mask))
 
-    def ids_for(self, labels: Iterable[str]) -> frozenset[int]:
-        return self.digraph.ids(labels)
+    def ground_order(self) -> list[int]:
+        """The ground ids in label order, the positions of ``gamma(self)``'s ground."""
+        return sorted(members(self.ground_mask), key=self.digraph.labels.__getitem__)
+
+    def ids_at(self, mask: int) -> frozenset[int]:
+        """The ground ids at the positions in `mask` of ``gamma(self)``'s ground."""
+        return frozenset(map(self.ground_order().__getitem__, members(mask)))
 
     def __repr__(self):
         return (

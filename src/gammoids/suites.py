@@ -32,6 +32,7 @@ from .complexity import (
 from .digraph import Digraph, default_labels, members, swap
 from .matroid import (
     Matroid,
+    _project,
     contract_to,
     direct_sum,
     dual,
@@ -195,10 +196,9 @@ def standardization_suite(count: int = 500, max_vertices: int = 6, seed: int = 7
     for i in range(count):
         rep = random_representation(rng, max_vertices)
         m = gamma(rep)
-        full = frozenset(m.ground)
-        complemented = frozenset(full - b for b in m.bases_label_sets())
+        complemented = frozenset(m.full_mask & ~b for b in m.bases)
         for b in sorted(m.bases):
-            base = rep.ids_for(m.labels_of(b))
+            base = rep.ids_at(b)
             cases += 1
             tag = f"instance {i} base {sorted(base)}"
             std = standardize(rep, base)
@@ -212,7 +212,7 @@ def standardization_suite(count: int = 500, max_vertices: int = 6, seed: int = 7
             md = gamma(ddual)
             if md != dual(m):
                 _clip(failures, f"{tag}: dual representation does not represent the dual")
-            if md.bases_label_sets() != complemented:
+            if md.bases != complemented:
                 _clip(failures, f"{tag}: dual bases are not the complements")
     return SuiteResult("standardization", cases, failures, time.perf_counter() - t0)
 
@@ -226,33 +226,31 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
     rng = random.Random(seed)
     failures: list[str] = []
     cases = 0
-    # (name, surgery, matroid minor, rank oracle), built at call time so
-    # that a rebound module global is the one called
+    # (name, surgery, positions the minor's bases meet most, rank oracle),
+    # built at call time so that a rebound module global is the one called
     surgeries = (
-        ("restriction", restrict_representation, restrict, lambda b, _, x: brute_restrict_bases(b, x)),
-        ("contraction", contract_representation, contract_to, brute_contract_bases),
+        ("restriction", restrict_representation, lambda _, x: x, lambda b, _, x: brute_restrict_bases(b, x)),
+        ("contraction", contract_representation, lambda full, x: full & ~x, brute_contract_bases),
     )
     for i in range(count):
         rep = random_representation(rng, max_vertices)
-        m0 = gamma(rep)
-        std = standardize(rep, rep.ids_for(m0.labels_of(min(m0.bases))))
+        std = standardize(rep, rep.ids_at(min(gamma(rep).bases)))
         m = gamma(std)
         for x_mask in range(m.full_mask + 1):
-            x_labels = m.labels_of(x_mask)
-            xs = std.ids_for(x_labels)
+            xs, kept = std.ids_at(x_mask), members(x_mask)
             cases += 1
-            tag = f"instance {i} X={sorted(x_labels)}"
-            for name, surgery, minor, oracle in surgeries:
+            tag = f"instance {i} X={[m.ground[p] for p in kept]}"
+            for name, surgery, by, oracle in surgeries:
                 cut = surgery(std, xs)
                 if not is_standard(cut):
                     _clip(failures, f"{tag}: {name} not standard")
                 if cut.arc_count > std.arc_count:
                     _clip(failures, f"{tag}: {name} gained arcs")
                 got = gamma(cut)
-                if got != minor(m, x_labels):
+                if got != _project(m, x_mask, by(m.full_mask, x_mask)):
                     _clip(failures, f"{tag}: {name} represents the wrong matroid")
-                want = {m.labels_of(b) for b in oracle(m.bases, m.full_mask, x_mask)}
-                if got.bases_label_sets() != want:
+                want = oracle(m.bases, m.full_mask, x_mask)  # masks over m's positions
+                if got.bases != {sum(1 << j for j, p in enumerate(kept) if b >> p & 1) for b in want}:
                     _clip(failures, f"{tag}: {name} disagrees with the rank oracle")
     return SuiteResult("surgery", cases, failures, time.perf_counter() - t0)
 

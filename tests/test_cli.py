@@ -115,6 +115,18 @@ def test_transform_standardize_default_base(rep_file, capsys):
     assert main(["transform", rep_file, "standardize", "--verify"]) == 0
 
 
+def test_transform_standardize_default_base_on_labels_unsorted_in_id_order(tmp_path, capsys):
+    # ids 0, 1, 2 carry "c", "a", "b": the first base in gamma's label order
+    # is {"a"}, id 1, while id 0 is the loop "c"
+    path = tmp_path / "cab.json"
+    digraph = {"vertices": ["c", "a", "b"], "arcs": [["b", "a"]]}
+    path.write_text(json.dumps({"digraph": digraph, "targets": ["a"], "ground": ["a", "b", "c"]}))
+    assert main(["transform", str(path), "standardize", "--verify"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["targets"] == ["a"]
+    assert "verified" in out.err
+
+
 def test_transform_rebase_requires_base(rep_file, capsys):
     assert main(["transform", rep_file, "rebase"]) == 1
 
@@ -370,6 +382,16 @@ def test_value_tables_reject_booleans(matroid_file, tmp_path, capsys):
     table.write_text(json.dumps([True, 2, 4, 6, 8, 10, 12]))
     assert main(["fwidth", matroid_file, "--f", f"table:{table}"]) == 1
     assert "a value table must be a JSON list of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["fwidth"], ["in-class", "--q", "1"]])
+def test_a_value_table_too_short_for_the_width_names_both_ranges(tmp_path, capsys, command):
+    # super-additive where it is defined, but U(1,3)'s width needs f on 0..6
+    matroid, table = tmp_path / "u13.json", tmp_path / "short.json"
+    matroid.write_text(json.dumps(matroid_to_dict(uniform(1, 3))))
+    table.write_text(json.dumps([1, 1, 2]))
+    assert main([command[0], str(matroid), "--f", f"table:{table}", *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: the value table covers 0..2, the width needs 0..6\n"
 
 
 def test_conjecture_uniform_command(capsys):

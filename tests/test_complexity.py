@@ -77,6 +77,13 @@ def test_linear_with_fractional_values_fails_validation():
     assert coeff == 2 and type(coeff) is int
 
 
+def test_linear_rejects_booleans_and_strings():
+    # a value table rejects both kinds of value, and so does the coefficient
+    for coeff in (True, False, "2", " 3 "):
+        with pytest.raises(ValueError, match=f"must be a number, got {coeff!r}$"):
+            SuperAdditiveFn.linear(coeff)
+
+
 def test_table_out_of_range():
     f = SuperAdditiveFn.from_table([1, 1])
     with pytest.raises(ValueError):
@@ -428,9 +435,9 @@ def test_lemma_r_reach_is_single_exchange_on_standard_representations():
         rep = random_representation(rng)
         m = gamma(rep)
         for mask in sorted(m.bases):
-            std = standardize(rep, rep.ids_for(m.labels_of(mask)))
+            std = standardize(rep, rep.ids_at(mask))
             assert is_standard(std)
-            pos = {v: j for j, v in enumerate(sorted(std.ground))}
+            pos = {v: j for j, v in enumerate(std.ground_order())}
             bases = gamma(std).bases
             b = sum(1 << pos[t] for t in std.targets)
             for x in std.ground - std.targets:
@@ -574,7 +581,7 @@ def test_standardize_gives_search_upper_bound():
         rep = random_representation(rng, 4)
         m = gamma(rep)
         mask = min(sorted(m.bases))
-        std = standardize(rep, rep.ids_for(m.labels_of(mask)))
+        std = standardize(rep, rep.ids_at(mask))
         cert = arc_complexity(m)
         assert cert.value <= std.arc_count
 

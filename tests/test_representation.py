@@ -28,7 +28,7 @@ from gammoids.representation import (
     swap_sequence,
 )
 from gammoids.routing import Routing, is_independent, max_routing, routable
-from gammoids.suites import all_matroids, random_representation
+from gammoids.suites import all_matroids, random_representation, standardization_suite, surgery_suite
 
 
 def oracle_bases(rep):
@@ -241,7 +241,7 @@ def test_swap_sequence_arc_count_never_grows():
         rep = random_representation(rng, 5)
         m = gamma(rep)
         base_mask = min(sorted(m.bases))
-        base = rep.ids_for(m.labels_of(base_mask))
+        base = rep.ids_at(base_mask)
         routing = max_routing(rep.digraph, base, rep.targets)
         out = swap_sequence(rep, routing)
         assert out.arc_count <= rep.arc_count
@@ -273,7 +273,7 @@ def test_rebase_every_base_preserves_gamma():
         rep = random_representation(rng, 5)
         m = gamma(rep)
         for mask in sorted(m.bases):
-            base = rep.ids_for(m.labels_of(mask))
+            base = rep.ids_at(mask)
             out = rebase(rep, base)
             assert out.targets == base
             assert gamma(out) == m
@@ -323,7 +323,7 @@ def test_standardize_random_small_reps():
         rep = random_representation(rng, 5)
         m = gamma(rep)
         mask = min(sorted(m.bases))
-        base = rep.ids_for(m.labels_of(mask))
+        base = rep.ids_at(mask)
         out = standardize(rep, base)
         assert is_standard(out)
         assert gamma(out) == m
@@ -392,7 +392,7 @@ def test_surgery_never_gains_arcs():
         rep = random_representation(rng, 5)
         m = gamma(rep)
         mask = min(sorted(m.bases))
-        std = standardize(rep, rep.ids_for(m.labels_of(mask)))
+        std = standardize(rep, rep.ids_at(mask))
         sids = sorted(std.ground)
         for _ in range(4):
             xs = frozenset(v for v in sids if rng.random() < 0.6)
@@ -406,7 +406,7 @@ def test_standard_targets_form_a_base():
         rep = random_representation(rng, 5)
         m = gamma(rep)
         mask = min(sorted(m.bases))
-        std = standardize(rep, rep.ids_for(m.labels_of(mask)))
+        std = standardize(rep, rep.ids_at(mask))
         got = gamma(std)
         assert got.mask_of(std.target_labels()) in got.bases
 
@@ -537,7 +537,7 @@ def test_package_routing_never_goes_through_the_public_edge(monkeypatch):
     for _ in range(80):
         rep = random_representation(rng, 6)
         m = gamma(rep)
-        base = rep.ids_for(m.labels_of(min(m.bases)))
+        base = rep.ids_at(min(m.bases))
         std = standardize(rep, base)
         xs = frozenset(v for v in sorted(std.ground) if rng.random() < 0.6)
         cases.append((rep, base, std, xs))
@@ -612,12 +612,12 @@ def test_derived_values_equal_their_checked_rebuilds():
         _assert_canonical(d, rep, opposite(d), remove_loops(d), *(swap(d, r, s) for r, s in arcs))
         m = gamma(rep)
         _assert_canonical(m, dual(m), max_routing(d, rep.ground, rep.targets))
-        base = rep.ids_for(m.labels_of(min(m.bases)))
+        base = rep.ids_at(min(m.bases))
         std = standardize(rep, base)
         _assert_canonical(rebase(rep, base), std, dual_representation(std), gamma(std))
         for x_mask in range(m.full_mask + 1):
             labels = m.labels_of(x_mask)
-            xs = std.ids_for(labels)
+            xs = std.ids_at(x_mask)
             rr, cc = restrict_representation(std, xs), contract_representation(std, xs)
             _assert_canonical(rr, cc, gamma(rr), gamma(cc), restrict(m, labels), contract_to(m, labels))
     for size in range(5):
@@ -626,3 +626,15 @@ def test_derived_values_equal_their_checked_rebuilds():
             for x_mask in range(m.full_mask + 1):
                 labels = m.labels_of(x_mask)
                 _assert_canonical(restrict(m, labels), contract_to(m, labels))
+
+
+def test_surgery_suites_pass_where_labels_do_not_sort_in_id_order():
+    # seed 45 draws an 11-vertex representation whose ground holds "v10" and
+    # some of "v2".."v9", so gamma's positions are not the ids in ascending
+    # order; mapping them in id order makes both suites raise NotABaseError
+    rng = random.Random(45)
+    grounds = [random_representation(rng, 11).ground_mask for _ in range(2)]
+    assert any(g >> 10 & 1 and g & 0b1111111100 for g in grounds)
+    for suite, cases in ((standardization_suite, 8), (surgery_suite, 144)):
+        result = suite(count=2, max_vertices=11, seed=45)
+        assert (result.cases, result.failures) == (cases, [])

@@ -196,11 +196,11 @@ def test_routings_and_surgery_keep_their_tie_breaks():
         m = gamma(rep)
         h.update(json.dumps(matroid_to_dict(m), sort_keys=True).encode())
         for b in sorted(m.bases):
-            std = standardize(rep, rep.ids_for(m.labels_of(b)))
+            std = standardize(rep, rep.ids_at(b))
             h.update(json.dumps(rep_to_dict(std), sort_keys=True).encode())
-        std = standardize(rep, rep.ids_for(m.labels_of(min(m.bases))))
+        std = standardize(rep, rep.ids_at(min(m.bases)))
         for x in range(m.full_mask + 1):
-            xs = std.ids_for(m.labels_of(x))
+            xs = std.ids_at(x)
             for minor in (restrict_representation(std, xs), contract_representation(std, xs)):
                 h.update(json.dumps(rep_to_dict(minor), sort_keys=True).encode())
     assert h.hexdigest() == _SURGERY_DIGEST
