@@ -109,7 +109,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .digraph import Digraph, fresh_label
+from .digraph import Digraph, as_int, collection, fresh_label
 from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors, uniform
 from .representation import Representation, rep_to_dict
 from .routing import _routable_ids
@@ -208,9 +208,7 @@ class SuperAdditiveFn(NamedTuple):
 
     @classmethod
     def from_table(cls, values: Iterable[int]) -> "SuperAdditiveFn":
-        table = tuple(values)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in table):
-            raise ValueError("a value table must hold integers only")
+        table = tuple(as_int(v, "table value") for v in collection(values, "value table"))
         return cls("table", table=table)
 
     @classmethod
@@ -275,6 +273,7 @@ def kw_upper_bound(rank: int, size: int) -> int:
     """Polynomial arc-count bound valid for every gammoid of the given rank
     and ground size (vertex bound squared, after loop removal and
     standardization)."""
+    rank, size = as_int(rank, "rank"), as_int(size, "ground size")
     if rank < 0 or size < 0 or rank > size:
         raise ValueError(f"need 0 <= rank <= size, got rank={rank}, size={size}")
     return (
@@ -291,6 +290,7 @@ def uniform_rep(r: int, n: int) -> Representation:
     """Standard representation of the rank-r uniform matroid on n elements:
     targets "1".."r", sources "r+1".."n", all source-to-target arcs;
     r * (n - r) arcs in total."""
+    r, n = as_int(r, "rank"), as_int(n, "ground size")
     if r < 0 or n < 0 or r > n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     labels = tuple(str(i) for i in range(1, n + 1))

@@ -34,12 +34,15 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 
 def as_int(value, what: str) -> int:
-    """`value` through `operator.index`: a float, string or other non-integer
-    raises ValueError naming it instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
+    """`value` through `operator.index`, the one integer rule for caller
+    input: a bool, float, string or other non-integer raises ValueError
+    naming it instead of being read as 0 or 1 or truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def collection(value, what: str) -> Iterator:
@@ -66,8 +69,7 @@ def members(mask: int) -> list[int]:
 
 def mask_in_range(mask, n: int) -> int:
     """`mask` as an int whose bits all lie in the vertex range ``0..n-1``."""
-    if type(mask) is not int:
-        mask = as_int(mask, "mask")
+    mask = as_int(mask, "mask")
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#b} outside vertex range 0..{n - 1}")
     return mask
@@ -90,17 +92,15 @@ class Digraph(_DigraphFields):
 
     def __new__(cls, labels: Iterable[str], arcs: Iterable[Arc]):
         labels = tuple(collection(labels, "vertex labels"))
-        pairs = []
+        _unique(labels)
+        n = len(labels)
+        out = [0] * n
         for arc in collection(arcs, "arcs"):
             try:
                 u, v = arc
             except (TypeError, ValueError):
                 raise ValueError(f"arc {arc!r} is not a (tail, head) pair") from None
-            pairs.append((as_int(u, "vertex id"), as_int(v, "vertex id")))
-        _unique(labels)
-        n = len(labels)
-        out = [0] * n
-        for u, v in pairs:
+            u, v = as_int(u, "vertex id"), as_int(v, "vertex id")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
             out[u] |= 1 << v
@@ -125,7 +125,7 @@ class Digraph(_DigraphFields):
     def build(cls, vertices: int | Iterable[str], arcs: Iterable[Arc] = ()) -> "Digraph":
         """Construct from a vertex count (labels auto-generated) or label list."""
         if isinstance(vertices, int):
-            return cls(default_labels(vertices), arcs)
+            return cls(default_labels(as_int(vertices, "vertex count")), arcs)
         return cls(vertices, arcs)
 
     @property
@@ -172,8 +172,7 @@ def _vertex_mask(d: Digraph, ids: Iterable[int]) -> int:
     """Bit mask of a vertex-id collection; rejects ids outside `d`."""
     mask, n = 0, d.vertex_count
     for v in collection(ids, "vertex ids"):
-        if type(v) is not int:
-            v = as_int(v, "vertex id")
+        v = as_int(v, "vertex id")
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside the digraph")
         mask |= 1 << v
@@ -184,8 +183,7 @@ def _ground_subset(ground: int, ids: Iterable[int]) -> int | None:
     """Mask of a vertex-id collection, or None when an id lies outside `ground`."""
     mask = 0
     for v in collection(ids, "vertex ids"):
-        if type(v) is not int:
-            v = as_int(v, "vertex id")
+        v = as_int(v, "vertex id")
         if v < 0 or not ground >> v & 1:
             return None
         mask |= 1 << v

@@ -99,7 +99,8 @@ class Representation(_RepresentationFields):
 
     def ids_at(self, mask: int) -> frozenset[int]:
         """The ground ids at the positions in `mask` of ``gamma(self)``'s ground."""
-        return frozenset(map(self.ground_order().__getitem__, members(mask)))
+        order = self.ground_order()
+        return frozenset(map(order.__getitem__, members(mask_in_range(mask, len(order)))))
 
     def __repr__(self):
         return (

@@ -394,6 +394,33 @@ def test_a_value_table_too_short_for_the_width_names_both_ranges(tmp_path, capsy
     assert capsys.readouterr().err == "error: the value table covers 0..2, the width needs 0..6\n"
 
 
+@pytest.mark.parametrize("command", [["fwidth"], ["in-class", "--q", "1"]])
+@pytest.mark.parametrize("spec", ["linear:0", "table"])
+def test_a_denominator_that_is_not_super_additive_exits_1(matroid_file, tmp_path, capsys, command, spec):
+    # linear:0 has f(1) = 0 < 1; the table covers 0..4, what U(1,2)'s width
+    # needs, but f(2) = 1 < f(1) + f(1)
+    if spec == "table":
+        table = tmp_path / "flat.json"
+        table.write_text(json.dumps([1, 1, 1, 1, 1]))
+        spec = f"table:{table}"
+    assert main([command[0], matroid_file, "--f", spec, *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: the width denominator must be super-additive with values >= 1\n"
+
+
+def test_eval_of_an_arc_with_an_unknown_label_names_the_file(tmp_path, capsys):
+    path = tmp_path / "stray.json"
+    digraph = {"vertices": ["a", "b"], "arcs": [["a", "z"]]}
+    path.write_text(json.dumps({"digraph": digraph, "targets": ["a"], "ground": ["a", "b"]}))
+    assert main(["eval", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: unknown label 'z'\n"
+
+
+@pytest.mark.parametrize("op", ["restrict", "contract"])
+def test_transform_to_a_subset_requires_the_subset(rep_file, capsys, op):
+    assert main(["transform", rep_file, op]) == 1
+    assert capsys.readouterr().err == f"error: {op} needs --subset\n"
+
+
 def test_conjecture_uniform_command(capsys):
     assert main(["conjecture-uniform", "1", "3"]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -93,7 +93,10 @@ def test_table_out_of_range():
 
 def test_table_values_must_be_integers():
     for values in ([1.9, 3.2], [True, 2], ["2", 3], [1, None]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="table value .* is not an integer"):
+            SuperAdditiveFn.from_table(values)
+    for values in (5, None, "12"):
+        with pytest.raises(ValueError, match="value table .* is (a string, )?not a collection"):
             SuperAdditiveFn.from_table(values)
     assert SuperAdditiveFn.from_table(iter([1, 2])).table == (1, 2)
 

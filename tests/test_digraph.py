@@ -32,6 +32,11 @@ def test_build_and_queries():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         Digraph.build(["a", "a"], [])
+    # the labels are read first, then each arc is read, checked and stored
+    with pytest.raises(ValueError, match="vertex labels must be unique"):
+        Digraph(["a", "a"], [(0, 1), (5,)])
+    with pytest.raises(ValueError, match=r"arc \(0, 5\) outside vertex range"):
+        Digraph(["a", "b"], [(0, 5), (5,)])
 
 
 def test_arc_out_of_range_rejected():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gammoids.bruteforce import brute_gamma_bases
-from gammoids.complexity import uniform_rep
+from gammoids.complexity import SuperAdditiveFn, kw_upper_bound, uniform_rep
 from gammoids.digraph import Digraph, digraph_from_dict, opposite, remove_loops, swap
 from gammoids.matroid import Matroid, contract_to, dual, gamma, matroid_from_dict, restrict, uniform
 from gammoids.representation import (
@@ -204,6 +204,18 @@ def test_swap_sequence_rejects_non_base_starts():
         swap_sequence(rep, Routing(((2, 0),), frozenset({0})))  # independent, not a base
 
 
+def test_swap_sequence_rejects_routings_outside_the_ground_or_the_targets():
+    # vertex 1 routes into the target 2 but is not in the ground; the path
+    # (0, 1) is a valid routing into {1}, which is not the target set
+    d = Digraph.build(3, [(0, 1), (0, 2), (1, 2)])
+    rep = Representation(d, {2}, {0, 2})
+    with pytest.raises(NotABaseError, match="routing must start inside the ground set"):
+        swap_sequence(rep, Routing(((1, 2),), {2}))
+    with pytest.raises(ValueError, match="routing must end inside the representation's targets") as info:
+        swap_sequence(rep, Routing(((0, 1),), {1}))
+    assert not isinstance(info.value, NotABaseError)
+
+
 def test_swap_sequence_rejects_paths_through_targets():
     # a routing path crossing a target mid-way has no matroid-preserving
     # swap; max_routing never produces one (paths stop at the first target)
@@ -315,6 +327,17 @@ def test_standardize_keeps_ground_labels():
     out = standardize(rep, frozenset({0, 1}))
     assert set(out.ground_labels()) == {"1", "2", "3"}
     assert len(set(out.digraph.labels)) == out.digraph.vertex_count
+
+
+def test_standardize_primes_past_labels_that_are_taken():
+    # "a'" is a ground label, so the copy of "a" gets "a''", and the copy of
+    # "a'" the next free label, "a'''"
+    d = Digraph.build(["a", "a'", "b"], [(1, 0), (2, 0)])
+    rep = Representation(d, {0}, {0, 1, 2})
+    out = standardize(rep, {0})
+    assert out.digraph.labels == ("a", "a'", "b", "a''", "a'''", "b'")
+    assert is_standard(out)
+    assert gamma(out) == gamma(rep) == Matroid(("a", "a'", "b"), {0b001, 0b010, 0b100})
 
 
 def test_standardize_random_small_reps():
@@ -524,6 +547,42 @@ def test_malformed_arguments_are_value_errors_naming_them(call):
     rep = uniform_rep(1, 2)
     with pytest.raises(ValueError, match=r"(5|None|2\.0) is not a"):
         eval(call, globals(), {"d": d, "rep": rep})
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "call",
+    [
+        "Digraph(('a', 'b'), [(flag, 0)])",
+        "Digraph.build(flag, [])",
+        "Digraph._make((('a', 'b'), (flag, 0)))",
+        "Representation(d, [flag], [0, 1])",
+        "Representation._make((d, flag, 0))",
+        "Representation._make((d, 0, flag))",
+        "rep.ids_at(flag)",
+        "swap(d, flag, 1 + flag)",
+        "Matroid(('a',), [flag])",
+        "uniform(flag, 3)",
+        "uniform_rep(flag, 3)",
+        "kw_upper_bound(flag, 3)",
+        "SuperAdditiveFn.from_table([1, flag])",
+    ],
+)
+def test_booleans_are_not_integers(call, flag):
+    # each call is well formed with 1 or 0 in the place of the bool, so a
+    # bool read as an integer would go through
+    d = Digraph.build(3, [(0, 1), (1, 2)])
+    rep = uniform_rep(1, 2)
+    with pytest.raises(ValueError, match=f"{flag} is not an integer$"):
+        eval(call, globals(), {"d": d, "rep": rep, "flag": flag})
+
+
+def test_ids_at_rejects_a_mask_beyond_the_ground():
+    rep = uniform_rep(1, 2)
+    assert rep.ids_at(0b11) == {0, 1}
+    for mask in (0b100, -1):
+        with pytest.raises(ValueError, match=r"outside vertex range 0\.\.1"):
+            rep.ids_at(mask)
 
 
 def test_package_routing_never_goes_through_the_public_edge(monkeypatch):

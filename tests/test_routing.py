@@ -96,6 +96,16 @@ def test_validate_routing_flags_violations():
         validate_routing(d, Routing(((0, 1), (1,)), frozenset({1})))  # overlap
 
 
+def test_validate_routing_rejects_malformed_paths():
+    d = Digraph.build(3, [(0, 1), (0, 2), (1, 0)])
+    with pytest.raises(ValueError, match="routing contains an empty path"):
+        validate_routing(d, Routing(((),), {1}))
+    with pytest.raises(ValueError, match=r"path \(0, 1, 0\) repeats a vertex"):
+        validate_routing(d, Routing(((0, 1, 0),), {0}))
+    with pytest.raises(ValueError, match="two paths start at vertex 0"):
+        validate_routing(d, Routing(((0, 1), (0, 2)), {1, 2}))
+
+
 def test_is_independent_on_uniform_representation():
     from gammoids.complexity import uniform_rep
 
