@@ -21,12 +21,11 @@ from .complexity import (
     BudgetExhaustedError,
     SearchLimits,
     SuperAdditiveFn,
-    WidthReport,
     arc_complexity,
     certificate_to_dict,
     f_width,
     in_class,
-    width_report_json,
+    width_report_to_dict,
 )
 from .matroid import check_enumeration_limit, gamma, matroid_from_dict, matroid_to_dict, uniform
 from .matroid import contract_to as matroid_contract_to
@@ -80,9 +79,8 @@ def _load_matroid(path: str):
 
 
 def _emit(obj, output: str | None) -> None:
-    """Encode `obj` as 2-space-indented JSON and write it; a width report
-    goes through its row writer, which gives the same bytes faster."""
-    text = width_report_json(obj) if isinstance(obj, WidthReport) else json.dumps(obj, indent=2)
+    """Encode `obj` as 2-space-indented JSON and write it."""
+    text = json.dumps(obj, indent=2)
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -221,11 +219,11 @@ def cmd_fwidth(args) -> int:
     m = _load_matroid(args.matroid)
     f = _parse_f(args.f)
     report = f_width(m, f, _limits(args))
-    _emit(report, args.output)
+    _emit(width_report_to_dict(report), args.output)
     _note(
         f"width {report.value} attained at restrict={list(report.argmax[0])} "
         f"contract={list(report.argmax[1])}; "
-        f"{report.searches} searches for {len(report.table)} minors"
+        f"{report.searches} searches for {len(report.forms)} forms"
     )
     return EXIT_OK if report.exhaustive else EXIT_BUDGET
 

@@ -89,12 +89,20 @@ element again and never gains arcs, so both add exactly zero arcs.
 ``dual_representation`` reverses every arc of a standard representation of M
 into one of M* with the same arc count (the paper's main theorem), so
 c(M) = c(M*).  A certified value of the form therefore certifies every minor
-with that form, and ``f_width`` keys its cache on it.  The form depends only
-on the base-mask family: the loops and coloops are exactly the positions
-outside the union or inside the intersection of the bases, and the kept
-positions compress in ascending order.  So a minor's family over the
-positions of Y, where Y - X are loops, gives the same form as the minor's
-own family over X, and ``f_width`` computes it from the former.
+with that form.
+
+Lemma W (width over forms): the width is the largest c(F) / f(|F|) over the
+search forms F of the minors of m.  A super-additive f with values >= 1 has
+f(n + 1) >= f(n) + f(1) > f(n) for n >= 1.  A minor N with its loops deleted
+and its coloops contracted is a minor N' with N's form F: c(N') = c(N)
+(Lemma B) and |N'| = |F| <= |N|, so the ratio of N is at most that of N'
+(both are 0 when c(N) = 0, else |N'| >= 1).  The forms of a matroid's minors
+depend on its form alone, since the minors of M* are the duals of those of M
+and a loop or coloop stays one in every minor that keeps it; deleting or
+contracting any other element leaves fewer others.  So a breadth-first pass
+from the form of m, expanding one labelled minor per form by each single
+deletion and contraction of an element that is no loop or coloop, meets
+every form once.
 
 Widths are exact rationals throughout; no floating point is involved in any
 comparison.
@@ -102,15 +110,15 @@ comparison.
 
 from __future__ import annotations
 
-import json
 import time
+from collections import deque
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .digraph import Digraph, as_int, collection, fresh_label
-from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, nested_minors, uniform
+from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, contract_to, restrict, uniform
 from .representation import Representation, rep_to_dict
 from .routing import _routable_ids
 
@@ -156,25 +164,29 @@ class ComplexityCertificate(NamedTuple):
     runtime_secs: float
 
 
-class MinorEntry(NamedTuple):
-    """A width-table row: X, Y and the minor's arc value (None when the
-    limits left it unsolved); its flag and ratio arcs / f(|X|) are derived."""
+class FormRow(NamedTuple):
+    """A width-report row: a search form of the minors, its size and arc
+    value (None when the limits left it unsolved), and the labels X within Y
+    of a minor ``restrict(contract_to(m, Y), X)`` with that form and no loop
+    or coloop, so |X| is the size; its ratio arcs / f(size) is derived."""
 
+    size: int
+    arcs: int | None
     restrict_labels: tuple[str, ...]
     contract_labels: tuple[str, ...]
-    arcs: int | None
 
 
 class WidthReport(NamedTuple):
-    """Maximum of arc-complexity over f over all nested minors.  When some
-    inner search was truncated the value is still a certified lower bound on
-    the width (it maximizes over the exhaustively solved minors only)."""
+    """Maximum of arc complexity over f over all minors, taken over their
+    search forms (Lemma W), one row each in the order they were met.  When
+    some inner search was truncated the value is still a certified lower
+    bound on the width (it maximizes over the solved forms only)."""
 
     value: Fraction
     argmax: tuple[tuple[str, ...], tuple[str, ...]]
-    table: tuple[MinorEntry, ...]
+    forms: tuple[FormRow, ...]
     exhaustive: bool
-    searches: int  # inner searches run, i.e. width-cache misses
+    searches: int  # inner searches run, at most one per form
     f: SuperAdditiveFn  # the denominator the ratios divide by
 
 
@@ -513,24 +525,17 @@ def search_form(bases: frozenset[int]) -> Matroid:
     return tuple.__new__(Matroid, (_POSITION_LABELS[: len(kept)], frozenset(min(masks, cobases))))
 
 
-def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) -> WidthReport:
-    """Maximum over all nested ground subsets X within Y of the arc complexity
-    of (m contracted to Y) restricted to X, divided by f(|X|); exact rational
-    arithmetic throughout.
+def _form_rows(m: Matroid, f: SuperAdditiveFn, limits) -> Iterator[tuple[FormRow, bool]]:
+    """Each search form of the minors of `m` once, breadth first from the
+    form of m (Lemma W), as its row and whether its search ran; `f` is
+    first validated super-additive on 1..2|E|.
 
-    `f` is validated super-additive on 1..2|E| first.  Each minor comes from
-    ``nested_minors`` as a base-mask family and costs one lookup in a dict
-    from family to arc value, private to this call; repeated contractions
-    yield the same family objects, whose hashes are cached.  A family is
-    filled the first time it is seen, from the value of its ``search_form``
-    (Lemma B): searched once per form while time remains, None when the
-    limits stopped that search or the deadline had passed before it.
-
-    The argmax is the first maximising minor in walk order.  Each distinct
-    (arc value, |X|) pair builds its ratio once and is compared with the best
-    so far only then: a repeated pair is already at most the best, which
-    only grows, so it can never be strictly greater.
-    """
+    A form keeps the first labelled minor that met it, with the labels Y it
+    is contracted to.  Its children are the deletion and then the
+    contraction of each element that is no loop or coloop, in ascending
+    position order, built through `restrict` and `contract_to`.  Each form
+    is searched once while time remains; its arcs are None when the limits
+    stopped that search or the deadline had passed before it."""
     check_enumeration_limit(len(m.ground))
     upto = max(2 * len(m.ground), 2)
     if f.kind == "table" and len(f.table) <= upto:
@@ -539,60 +544,75 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
+    start = search_form(m.bases)
+    seen = {start}
+    queue = deque([(start, m, m.ground)])
+    while queue:
+        form, minor, y_labels = queue.popleft()
+        union, inter = _union_and_intersection(minor.bases)
+        free = tuple(lab for i, lab in enumerate(minor.ground) if (union & ~inter) >> i & 1)
+        coloops = minor.labels_of(inter)
+        remaining = None if deadline is None else deadline - time.monotonic()
+        searched = remaining is None or remaining > 0
+        arcs = None
+        if searched:
+            try:
+                arcs = arc_complexity(form, limits._replace(wall_secs=remaining)).value
+            except BudgetExhaustedError:
+                pass
+        # the loops deleted and the coloops contracted
+        yield FormRow(len(free), arcs, free, tuple(y for y in y_labels if y not in coloops)), searched
+        for lab in free:
+            rest = [x for x in minor.ground if x != lab]
+            less = tuple(y for y in y_labels if y != lab)
+            for child, y in ((restrict(minor, rest), y_labels), (contract_to(minor, rest), less)):
+                child_form = search_form(child.bases)
+                if child_form not in seen:
+                    seen.add(child_form)
+                    queue.append((child_form, child, y))
 
+
+def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) -> WidthReport:
+    """Maximum over all nested ground subsets X within Y of the arc complexity
+    of (m contracted to Y) restricted to X, divided by f(|X|); exact rational
+    arithmetic throughout.
+
+    `f` is validated super-additive on 1..2|E| first.  The maximum is taken
+    over the search forms of the minors (Lemma W), one search each; the
+    argmax is the first maximising form in the order they were met."""
     best = Fraction(0)
     best_arg: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
-    entries: list[MinorEntry] = []
-    exhaustive = True
-    searches = 0
-    by_form: dict[Matroid, int | None] = {}
-    by_family: dict[frozenset[int], int | None] = {}
-    compared: set[tuple[int, int]] = set()  # the (arc value, |X|) pairs seen
-    for x_labels, y_labels, bases in nested_minors(m):
-        try:
-            value = by_family[bases]
-        except KeyError:
-            form = search_form(bases)
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if form not in by_form and (remaining is None or remaining > 0):
-                searches += 1
-                try:
-                    by_form[form] = arc_complexity(form, limits._replace(wall_secs=remaining)).value
-                except BudgetExhaustedError:
-                    by_form[form] = None
-            # a form left unsearched past the deadline would stay so: keep None
-            value = by_family[bases] = by_form.get(form)
-        if value is None:
+    rows: list[FormRow] = []
+    exhaustive, searches = True, 0
+    for row, searched in _form_rows(m, f, limits):
+        rows.append(row)
+        searches += searched
+        if row.arcs is None:
             exhaustive = False
-        else:
-            key = (value, len(x_labels))
-            if key not in compared:
-                compared.add(key)
-                ratio = Fraction(value, f(key[1]))
-                if ratio > best:
-                    best = ratio
-                    best_arg = (x_labels, y_labels)
-        entries.append(tuple.__new__(MinorEntry, (x_labels, y_labels, value)))
-    return WidthReport(best, best_arg, tuple(entries), exhaustive, searches, f)
+        elif (ratio := Fraction(row.arcs, f(row.size))) > best:
+            best, best_arg = ratio, (row.restrict_labels, row.contract_labels)
+    return WidthReport(best, best_arg, tuple(rows), exhaustive, searches, f)
 
 
-def in_class(
-    m: Matroid,
-    f: SuperAdditiveFn,
-    q: Fraction,
-    limits: SearchLimits | None = None,
-) -> bool:
+def in_class(m: Matroid, f: SuperAdditiveFn, q: Fraction, limits: SearchLimits | None = None) -> bool:
     """Exact membership test for the bounded-width class: width of `m` at most
-    `q`.  A truncated width can still certify non-membership (the computed
-    value is a lower bound); certifying membership needs the full width."""
+    `q`.  It is False at the first solved form whose ratio exceeds `q`, with
+    no further search; a truncated width can still certify non-membership
+    (the computed value is a lower bound), but certifying membership needs
+    the full width."""
     q = Fraction(q)
-    report = f_width(m, f, limits)
-    if report.exhaustive:
-        return report.value <= q
-    if report.value > q:
-        return False
+    best, exhaustive = Fraction(0), True
+    for row, _ in _form_rows(m, f, limits):
+        if row.arcs is None:
+            exhaustive = False
+        elif (ratio := Fraction(row.arcs, f(row.size))) > q:
+            return False
+        else:
+            best = max(best, ratio)
+    if exhaustive:
+        return True
     raise BudgetExhaustedError(
-        f"width search truncated at lower bound {report.value}; cannot certify membership"
+        f"width search truncated at lower bound {best}; cannot certify membership"
     )
 
 
@@ -612,44 +632,21 @@ def certificate_to_dict(cert: ComplexityCertificate) -> dict:
     }
 
 
-def _nested(value, depth: int) -> str:
-    """`value` as ``json.dumps(.., indent=2)`` lays it out `depth` levels
-    deep; a JSON string never holds a raw newline, so re-indenting is exact."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
-
-
-def width_report_json(report: WidthReport) -> str:
-    """The width report as ``json.dumps(.., indent=2)`` lays it out, byte for
-    byte, written row by row: each table row joins its restrict and contract
-    label lists, memoized by label tuple, with its arcs/exhaustive/ratio
-    tail, derived and memoized once per (arcs, |X|) pair."""
-    head = json.dumps(
-        {
-            "value": str(report.value),
-            "exhaustive": report.exhaustive,
-            "searches": report.searches,
-            "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
-        },
-        indent=2,
-    )
-    lists: dict[tuple[str, ...], str] = {}
-    tails: dict[tuple[int | None, int], str] = {}
-    rows = []
-    for x_labels, y_labels, arcs in report.table:
-        restrict = lists.get(x_labels)
-        if restrict is None:
-            restrict = lists[x_labels] = _nested(list(x_labels), 3)
-        contract = lists.get(y_labels)
-        if contract is None:
-            contract = lists[y_labels] = _nested(list(y_labels), 3)
-        key = (arcs, len(x_labels))
-        tail = tails.get(key)
-        if tail is None:
-            ratio = None if arcs is None else str(Fraction(arcs, report.f(key[1])))
-            fields = _nested({"arcs": arcs, "exhaustive": arcs is not None, "ratio": ratio}, 2)
-            tail = tails[key] = fields[2:-6]  # the lines between the braces
-        rows.append(
-            f'    {{\n      "restrict": {restrict},\n      "contract": {contract},\n{tail}\n    }}'
-        )
-    table = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return f'{head[:-2]},\n  "table": {table},\n  "f": {_nested(report.f.describe(), 1)}\n}}'
+def width_report_to_dict(report: WidthReport) -> dict:
+    return {
+        "value": str(report.value),
+        "exhaustive": report.exhaustive,
+        "searches": report.searches,
+        "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
+        "forms": [
+            {
+                "size": row.size,
+                "arcs": row.arcs,
+                "ratio": None if row.arcs is None else str(Fraction(row.arcs, report.f(row.size))),
+                "restrict": list(row.restrict_labels),
+                "contract": list(row.contract_labels),
+            }
+            for row in report.forms
+        ],
+        "f": report.f.describe(),
+    }

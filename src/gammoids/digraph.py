@@ -67,11 +67,13 @@ def members(mask: int) -> list[int]:
     return out
 
 
-def mask_in_range(mask, n: int) -> int:
-    """`mask` as an int whose bits all lie in the vertex range ``0..n-1``."""
+def mask_in_range(mask, n: int, what: str) -> int:
+    """`mask` as an int whose bits all lie in the range ``0..n-1`` of
+    `what` (such as "vertex"), which the error names."""
     mask = as_int(mask, "mask")
     if mask < 0 or mask >> n:
-        raise ValueError(f"mask {mask:#b} outside vertex range 0..{n - 1}")
+        where = f"{what} range 0..{n - 1}" if n else f"the empty {what} range"
+        raise ValueError(f"mask {mask:#b} outside {where}")
     return mask
 
 
@@ -116,15 +118,16 @@ class Digraph(_DigraphFields):
         n, out = len(labels), tuple(out)
         if len(out) != n:
             raise ValueError(f"{len(out)} out-masks for {n} vertices")
-        return super().__new__(cls, labels, tuple(mask_in_range(m, n) for m in out))
+        return super().__new__(cls, labels, tuple(mask_in_range(m, n, "vertex") for m in out))
 
     def __reduce__(self):
         return type(self)._make, (tuple(self),)
 
     @classmethod
     def build(cls, vertices: int | Iterable[str], arcs: Iterable[Arc] = ()) -> "Digraph":
-        """Construct from a vertex count (labels auto-generated) or label list."""
-        if isinstance(vertices, int):
+        """Construct from a vertex count (labels auto-generated) or label
+        list; anything with ``__index__`` is a count, read by `as_int`."""
+        if hasattr(vertices, "__index__"):
             return cls(default_labels(as_int(vertices, "vertex count")), arcs)
         return cls(vertices, arcs)
 

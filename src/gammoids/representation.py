@@ -69,8 +69,8 @@ class Representation(_RepresentationFields):
         digraph, targets, ground = fields
         if not isinstance(digraph, Digraph):
             raise ValueError(f"digraph {digraph!r} is not a Digraph")
-        n = digraph.vertex_count
-        return super().__new__(cls, digraph, mask_in_range(targets, n), mask_in_range(ground, n))
+        targets, ground = (mask_in_range(m, digraph.vertex_count, "vertex") for m in (targets, ground))
+        return super().__new__(cls, digraph, targets, ground)
 
     def __reduce__(self):
         return type(self)._make, (tuple(self),)
@@ -100,7 +100,8 @@ class Representation(_RepresentationFields):
     def ids_at(self, mask: int) -> frozenset[int]:
         """The ground ids at the positions in `mask` of ``gamma(self)``'s ground."""
         order = self.ground_order()
-        return frozenset(map(order.__getitem__, members(mask_in_range(mask, len(order)))))
+        mask = mask_in_range(mask, len(order), "ground position")
+        return frozenset(map(order.__getitem__, members(mask)))
 
     def __repr__(self):
         return (

@@ -332,10 +332,10 @@ def minor_complexity_suite(limits: SearchLimits | None = None) -> SuiteResult:
     invariant under duality and non-increasing under restriction and
     contraction, all with exhaustive certificates.
 
-    This is the unfolded check that the width cache's fold rests on (Lemma B
-    in `complexity`), so it keeps its own cache keyed on the labelled
-    matroid and searches M and M* separately, never through
-    ``search_form``."""
+    This is the unfolded check that the width's fold onto search forms
+    rests on (Lemmas B and W in `complexity`), so it keeps its own cache
+    keyed on the labelled matroid and searches M and M* separately, never
+    through ``search_form``."""
     t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0

@@ -213,7 +213,7 @@ def test_fwidth_command(matroid_file, capsys):
     blob = json.loads(out)
     assert blob["value"] == "1/2"
     assert blob["searches"] == 2
-    assert err.endswith("; 2 searches for 9 minors\n")
+    assert err.endswith("; 2 searches for 2 forms\n")
 
 
 def test_fwidth_output_does_not_depend_on_ground_order(tmp_path, capsys):
@@ -238,14 +238,17 @@ def _width_input(tmp_path, seed: int) -> str:
 
 
 @pytest.mark.parametrize(
-    "seed, prefix",
-    [(1, "7f63b3853d620651"), (2, "47d8763b75aba924"), (3, "c6f731c59147dd9e")],
+    "seed, forms, prefix",
+    [(1, 10, "e68715bf5dacc2df"), (2, 7, "26841390d93147ad"), (3, 7, "7ae669251844b87c")],
 )
-def test_fwidth_stdout_bytes_on_the_width_benchmark_inputs(tmp_path, capsys, seed, prefix):
-    # sha256 of the 1.5 MB report, pinned to the json.dumps(.., indent=2) encoder
+def test_fwidth_stdout_bytes_on_the_width_benchmark_inputs(tmp_path, capsys, seed, forms, prefix):
+    # sha256 of the report, one row per search form: the seed's label order
+    # decides how many forms the minors have
     assert main(["fwidth", _width_input(tmp_path, seed), "--f", "fhat", "--workers", "1"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+    assert len(json.loads(out)["forms"]) == forms
+    assert err.endswith(f"; {forms} searches for {forms} forms\n")
 
 
 def test_a_text_only_stdout_gets_the_same_text(matroid_file, capsys):
@@ -288,16 +291,18 @@ def test_fwidth_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
     assert proc.returncode == 1
 
 
-def test_fwidth_into_a_pipe_closed_part_way_exits_1_when_unbuffered(tmp_path):
+def test_eval_into_a_pipe_closed_part_way_exits_1_when_unbuffered(tmp_path):
     # unbuffered, stdout is a raw file whose write may return short; the
-    # rest must still be written, so a reader gone mid-report is an error
+    # rest must still be written, so a reader gone mid-output is an error
+    path = tmp_path / "u6_14.json"
+    path.write_text(json.dumps(rep_to_dict(uniform_rep(6, 14))))
     with subprocess.Popen(
-        [sys.executable, "-m", "gammoids.cli", "fwidth", _width_input(tmp_path, 1)],
+        [sys.executable, "-m", "gammoids.cli", "eval", str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_cli_env(PYTHONUNBUFFERED="1"),
     ) as proc:
-        assert proc.stdout.read(10) == b'{\n  "value'  # 1.5 MB follow, far over a pipe's buffer
+        assert proc.stdout.read(10) == b'{\n  "groun'  # 0.24 MB follow, far over a pipe's buffer
         proc.stdout.close()
         assert _stderr_after_exit(proc) == ""
     assert proc.returncode == 1

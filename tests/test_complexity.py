@@ -13,7 +13,7 @@ import pytest
 from gammoids.bruteforce import brute_rank
 from gammoids.complexity import (
     BudgetExhaustedError,
-    MinorEntry,
+    FormRow,
     SearchLimits,
     SuperAdditiveFn,
     WidthReport,
@@ -28,7 +28,7 @@ from gammoids.complexity import (
     search_form,
     uniform_rep,
     verify_uniform_conjecture,
-    width_report_json,
+    width_report_to_dict,
 )
 from gammoids.matroid import (
     EnumerationLimitError,
@@ -604,8 +604,8 @@ def test_width_of_two_element_circuit():
     report = f_width(uniform(1, 2), SuperAdditiveFn.fhat())
     assert report.value == Fraction(1, 2)
     assert report.argmax == (("1", "2"), ("1", "2"))
-    ratios = {Fraction(e.arcs, report.f(len(e.restrict_labels))) for e in report.table}
-    assert Fraction(0) in ratios and Fraction(1, 2) in ratios
+    # deleting "1" leaves "2" a coloop, contracted in the row's labels
+    assert report.forms == (FormRow(2, 1, ("1", "2"), ("1", "2")), FormRow(0, 0, (), ("1",)))
 
 
 def test_width_rejects_non_superadditive_denominator():
@@ -621,6 +621,24 @@ def test_in_class_examples():
     assert not in_class(uniform(1, 2), fhat, Fraction(1, 4))
 
 
+def test_in_class_stops_at_the_first_form_above_the_bound(monkeypatch):
+    # U(2,5) is its own first form, with ratio 6/5 > 1/2: one search decides
+    from gammoids import complexity
+
+    calls = []
+
+    def counting(m, limits=None):
+        calls.append(m)
+        return arc_complexity(m, limits)
+
+    monkeypatch.setattr(complexity, "arc_complexity", counting)
+    fhat = SuperAdditiveFn.fhat()
+    assert not in_class(uniform(2, 5), fhat, Fraction(1, 2))
+    assert len(calls) == 1
+    report = f_width(uniform(2, 5), fhat)
+    assert len(calls) == 1 + report.searches and report.searches == len(report.forms) > 1
+
+
 def test_truncated_width_is_a_lower_bound():
     # with max_arcs=1 the full direct sum (complexity 2) cannot be searched,
     # but a two-element minor already pushes the width past 1/4, so
@@ -633,45 +651,100 @@ def test_truncated_width_is_a_lower_bound():
     assert not report.exhaustive
     assert report.value == Fraction(1, 2)
     assert not in_class(m, fhat, Fraction(1, 4), SearchLimits(max_arcs=1))
-    with pytest.raises(BudgetExhaustedError):
+    with pytest.raises(BudgetExhaustedError, match="truncated at lower bound 1/2"):
         in_class(m, fhat, Fraction(1), SearchLimits(max_arcs=1))
 
 
 def test_width_wall_clock_truncation():
     report = f_width(uniform(2, 4), SuperAdditiveFn.fhat(), SearchLimits(wall_secs=0.0))
     assert not report.exhaustive
+    assert report.searches == 0 and all(row.arcs is None for row in report.forms)
 
 
-def _unfolded_table(m):
-    """The width table from one arc_complexity call per labelled minor, with
-    no search form: the oracle the folded cache is checked against."""
-    values = {}
+def _unfolded_table(m, values=None):
+    """``(x_labels, y_labels, arcs)`` for every nested minor, from one
+    arc_complexity call per labelled minor, with no search form: the oracle
+    the form walk is checked against.  `values` caches the arc values by
+    labelled minor and may be shared across calls."""
+    values = {} if values is None else values
     table = []
     for x_labels, y_labels, _ in nested_minors(m):
         minor = restrict(contract_to(m, y_labels), x_labels)
         if minor not in values:
             values[minor] = arc_complexity(minor).value
-        table.append(MinorEntry(x_labels, y_labels, values[minor]))
+        table.append((x_labels, y_labels, values[minor]))
     return tuple(table)
 
 
-def test_search_form_keeps_every_width_table_and_value():
-    # Lemma B on every matroid with at most four labels: the folded cache
-    # gives the unfolded table, and the form has the arc complexity of m
+def _ratio(f, arcs, x_labels):
+    return Fraction(arcs, f(len(x_labels)))
+
+
+def _check_width(m, f, values=None):
+    """The report of `m` against the unfolded oracle: the value is the
+    largest ratio, the argmax minor attains it, the rows are the distinct
+    forms of the minors, each searched once, with its minor's value."""
+    table = _unfolded_table(m, values)
+    report = f_width(m, f)
+    assert report.exhaustive, m
+    assert report.value == max(_ratio(f, arcs, x) for x, _, arcs in table), m
+    x_labels, y_labels = report.argmax
+    minor = restrict(contract_to(m, y_labels), x_labels)
+    assert _ratio(f, arc_complexity(minor).value, x_labels) == report.value, m
+    forms = {search_form(bases) for _, _, bases in nested_minors(m)}
+    assert report.searches == len(report.forms) == len(forms), m
+    exact = {(x, y): arcs for x, y, arcs in table}
+    for row in report.forms:
+        assert row.size == len(row.restrict_labels), (m, row)
+        assert row.arcs == exact[row.restrict_labels, row.contract_labels], (m, row)
+    return report
+
+
+_FIBONACCI = SuperAdditiveFn.from_table([1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [SuperAdditiveFn.fhat(), SuperAdditiveFn.parse("linear:2"), _FIBONACCI],
+    ids=["fhat", "linear2", "fibonacci"],
+)
+def test_width_is_the_largest_unfolded_ratio_on_every_matroid_of_at_most_four(f):
     from gammoids.suites import all_matroids
 
-    fhat = SuperAdditiveFn.fhat()
     for size in range(5):
         for m in all_matroids(tuple("abcd"[:size])):
-            assert f_width(m, fhat).table == _unfolded_table(m), m
+            _check_width(m, f)
+
+
+def test_width_is_the_largest_unfolded_ratio_on_every_five_element_matroid():
+    from gammoids.suites import all_matroids
+
+    values = {}  # one labelled-minor cache across all 406
+    matroids = list(all_matroids(tuple("abcde")))
+    assert len(matroids) == 406
+    for m in matroids:
+        _check_width(m, SuperAdditiveFn.fhat(), values)
+
+
+def test_search_form_keeps_every_width_table_and_value():
+    # Lemma B on every matroid with at most four labels: the form has the
+    # arc complexity of m, and so has each form row's labelled minor
+    from gammoids.suites import all_matroids
+
+    for size in range(5):
+        for m in all_matroids(tuple("abcd"[:size])):
             assert arc_complexity(search_form(m.bases)).value == arc_complexity(m).value, m
+            for row in f_width(m, SuperAdditiveFn.fhat()).forms:
+                minor = restrict(contract_to(m, row.contract_labels), row.restrict_labels)
+                assert len(search_form(minor.bases).ground) == row.size, (m, row)
+                assert arc_complexity(minor).value == row.arcs, (m, row)
 
 
 def test_width_tables_of_a_connected_and_a_disconnected_matroid():
     fhat = SuperAdditiveFn.fhat()
     u13 = relabel(uniform(1, 3), {"1": "a", "2": "b", "3": "c"})
     for m in (uniform(2, 5), direct_sum(uniform(1, 2), u13)):
-        assert f_width(m, fhat).table == _unfolded_table(m), m
+        _check_width(m, fhat)
 
 
 def test_form_of_a_walked_family_is_the_search_form_of_its_minor():
@@ -699,45 +772,46 @@ def test_search_form_folds_duality_loops_and_coloops():
     assert search_form(uniform(2, 4).bases).ground == ("00", "01", "02", "03")
 
 
+def _four_fold_sum(letters: str):
+    m = uniform(0, 0)
+    for i in range(0, 8, 2):
+        m = direct_sum(m, relabel(uniform(1, 2), {"1": letters[i], "2": letters[i + 1]}))
+    return m
+
+
 def test_width_cache_runs_a_few_searches_on_a_four_fold_sum():
     # U(1,2) summed four times, on two shuffled single-letter label orders
     fhat = SuperAdditiveFn.fhat()
     rng = random.Random(8)
     for _ in range(2):
-        letters = rng.sample("abcdefghijklmnopqrstuvwxyz", 8)
-        m = uniform(0, 0)
-        for i in range(4):
-            pair = relabel(uniform(1, 2), {"1": letters[2 * i], "2": letters[2 * i + 1]})
-            m = direct_sum(m, pair)
-        report = f_width(m, fhat)
-        assert report.table == _unfolded_table(m)
-        assert len(report.table) == 6561 and report.searches <= 10
+        m = _four_fold_sum(rng.sample("abcdefghijklmnopqrstuvwxyz", 8))
+        report = _check_width(m, fhat)
+        assert report.searches <= 10
         assert report.value == Fraction(1, 2) and report.exhaustive
 
 
 def test_four_fold_sum_width_report_is_unchanged():
-    # the JSON bytes of the width report on pairs ab, cd, ef, gh, pinned to
-    # the walk that built every minor as a Matroid
-    fhat = SuperAdditiveFn.fhat()
-    m = uniform(0, 0)
-    for pair in ("ab", "cd", "ef", "gh"):
-        m = direct_sum(m, relabel(uniform(1, 2), {"1": pair[0], "2": pair[1]}))
-    report = f_width(m, fhat)
-    blob = width_report_json(report).encode()
-    assert hashlib.sha256(blob).hexdigest().startswith("e69dc70f42f9d623")
-    assert report.searches == 5
+    # on pairs ab, cd, ef, gh: the forms U(1,2)^k for k = 4, .., 0, each met
+    # by deleting the first free element, whose partner is then contracted
+    report = f_width(_four_fold_sum("abcdefgh"), SuperAdditiveFn.fhat())
+    ground = tuple("abcdefgh")
+    assert report.forms == tuple(
+        FormRow(8 - 2 * k, 4 - k, ground[2 * k :], tuple("aceg"[:k]) + ground[2 * k :])
+        for k in range(5)
+    )
+    assert report.argmax == (ground, ground) and report.searches == 5
+    blob = json.dumps(width_report_to_dict(report), indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest().startswith("55ccadd2ac3792e1")
 
 
-def test_the_width_walk_contracts_each_y_once_and_forms_each_family_once(monkeypatch):
-    # on pairs ab, cd, ef, gh: 2^8 contractions, one search form per distinct
-    # base family and five searches
-    from gammoids import complexity, matroid
+def test_the_width_walk_builds_two_minors_per_free_element_of_each_form(monkeypatch):
+    # on pairs ab, cd, ef, gh: the forms have 8, 6, 4, 2 and 0 free
+    # elements, each deleted and contracted once through the module-global
+    # minor functions, and each of those 40 minors and m itself has its form
+    # computed once
+    from gammoids import complexity
 
-    m = uniform(0, 0)
-    for pair in ("ab", "cd", "ef", "gh"):
-        m = direct_sum(m, relabel(uniform(1, 2), {"1": pair[0], "2": pair[1]}))
-    families = {bases for _, _, bases in nested_minors(m)}
-    calls = {"contract_to": 0, "search_form": 0}
+    calls = {"restrict": 0, "contract_to": 0, "search_form": 0}
 
     def counting(fn):
         def wrapper(*args):
@@ -746,11 +820,11 @@ def test_the_width_walk_contracts_each_y_once_and_forms_each_family_once(monkeyp
 
         return wrapper
 
-    monkeypatch.setattr(matroid, "contract_to", counting(contract_to))
-    monkeypatch.setattr(complexity, "search_form", counting(search_form))
-    report = f_width(m, SuperAdditiveFn.fhat())
-    assert calls == {"contract_to": 256, "search_form": len(families)}
-    assert len(families) == 323 and report.searches == 5
+    for fn in (restrict, contract_to, search_form):
+        monkeypatch.setattr(complexity, fn.__name__, counting(fn))
+    report = f_width(_four_fold_sum("abcdefgh"), SuperAdditiveFn.fhat())
+    assert calls == {"restrict": 20, "contract_to": 20, "search_form": 41}
+    assert report.searches == 5
 
 
 def test_contractions_that_repeat_under_other_labels_keep_the_width_table():
@@ -765,8 +839,7 @@ def test_contractions_that_repeat_under_other_labels_keep_the_width_table():
         assert restrict(Matroid(y_labels, bases), x_labels) == minor
         walk[x_labels, y_labels] = bases
     assert walk[(), ("a",)] is walk[(), ("x",)] and walk[("a",), ("a",)] is walk[("x",), ("x",)]
-    fhat = SuperAdditiveFn.fhat()
-    assert f_width(m, fhat).table == _unfolded_table(m)
+    _check_width(m, SuperAdditiveFn.fhat())
 
 
 @pytest.mark.parametrize(
@@ -774,26 +847,32 @@ def test_contractions_that_repeat_under_other_labels_keep_the_width_table():
     [SearchLimits(max_arcs=1), SearchLimits(max_arcs=2), SearchLimits(wall_secs=0.05)],
 )
 def test_truncated_width_certifies_only_unfolded_values(limits):
-    # under any limit, a value the folded cache reports as certified is the
-    # exhaustive value of that labelled minor
+    # under any limit, a value a form row reports as certified is the
+    # exhaustive value of its labelled minor, and the rows are the forms of
+    # the exhaustive walk, in its order
     fhat = SuperAdditiveFn.fhat()
     pair = relabel(uniform(1, 2), {"1": "x", "2": "y"})
     for m in (uniform(2, 4), uniform(2, 5), direct_sum(uniform(2, 3), pair)):
-        for e, exact in zip(f_width(m, fhat, limits).table, _unfolded_table(m)):
-            assert e.restrict_labels == exact.restrict_labels
-            assert e.contract_labels == exact.contract_labels
-            if e.arcs is not None:
-                assert e.arcs == exact.arcs, (m, e)
+        report = f_width(m, fhat, limits)
+        exact = f_width(m, fhat)
+        assert report.searches <= len(report.forms) == len(exact.forms)
+        for row, full in zip(report.forms, exact.forms):
+            assert row._replace(arcs=None) == full._replace(arcs=None)
+            if row.arcs is not None:
+                assert row.arcs == full.arcs, (m, row)
 
 
 def test_width_report_serialization():
     fhat = SuperAdditiveFn.fhat()
     report = f_width(uniform(1, 2), fhat)
-    blob = json.loads(width_report_json(report))
+    blob = json.loads(json.dumps(width_report_to_dict(report)))
     assert blob["value"] == "1/2"
     assert blob["f"] == {"kind": "fhat"}
-    assert len(blob["table"]) == 9  # nested subset pairs of a 2-set
-    assert blob["searches"] == report.searches == 2  # the forms of U(0,0) and U(1,2)
+    assert blob["forms"][0] == {
+        "size": 2, "arcs": 1, "ratio": "1/2", "restrict": ["1", "2"], "contract": ["1", "2"]
+    }
+    assert len(blob["forms"]) == 2  # the forms of U(1,2) and U(0,0)
+    assert blob["searches"] == report.searches == 2
 
 
 @functools.cache
@@ -816,51 +895,41 @@ def _small_width_reports() -> tuple[WidthReport, ...]:
     return tuple(reports)
 
 
-def _report_dict(report: WidthReport) -> dict:
-    return {
-        "value": str(report.value),
-        "exhaustive": report.exhaustive,
-        "searches": report.searches,
-        "argmax": {"restrict": list(report.argmax[0]), "contract": list(report.argmax[1])},
-        "table": [
-            {
-                "restrict": list(e.restrict_labels),
-                "contract": list(e.contract_labels),
-                "arcs": e.arcs,
-                "exhaustive": e.arcs is not None,
-                "ratio": None if e.arcs is None else str(Fraction(e.arcs, report.f(len(e.restrict_labels)))),
-            }
-            for e in report.table
-        ],
-        "f": report.f.describe(),
-    }
-
-
 def test_width_report_json_is_the_indented_json_of_the_report():
+    # the indented JSON of every report reads back to its fields and rows
     reports = _small_width_reports()
-    fhat = SuperAdditiveFn.fhat()
-    empty = WidthReport(Fraction(0), ((), ()), (), True, 0, fhat)
-    for report in reports + (empty,):
-        text = width_report_json(report)
-        assert json.dumps(json.loads(text), indent=2) == text, report
-        assert json.loads(text) == _report_dict(report), report
+    for report in reports:
+        blob = json.loads(json.dumps(width_report_to_dict(report), indent=2))
+        assert (Fraction(blob["value"]), blob["exhaustive"], blob["searches"]) == (
+            report.value, report.exhaustive, report.searches
+        ), report
+        assert (tuple(blob["argmax"]["restrict"]), tuple(blob["argmax"]["contract"])) == report.argmax
+        assert blob["f"] == report.f.describe()
+        rows = [
+            FormRow(row["size"], row["arcs"], tuple(row["restrict"]), tuple(row["contract"]))
+            for row in blob["forms"]
+        ]
+        assert tuple(rows) == report.forms, report
+        for row, text in zip(report.forms, blob["forms"]):
+            ratio = None if row.arcs is None else str(Fraction(row.arcs, report.f(row.size)))
+            assert text["ratio"] == ratio, report
     # the null, false and empty-list branches are all reached
-    rows = [e for report in reports for e in report.table]
-    assert any(e.arcs is None for e in rows)
-    assert any(not e.restrict_labels and e.contract_labels for e in rows)
+    rows = [row for report in reports for row in report.forms]
+    assert any(row.arcs is None for row in rows)
+    assert any(not row.restrict_labels and row.contract_labels for row in rows)
     assert any(report.argmax == ((), ()) for report in reports)
     assert not reports[-2].exhaustive
 
 
 def test_width_value_and_argmax_are_the_first_maximiser_of_the_table():
-    # a plain per-minor Fraction walk over the table agrees with the
-    # report's once-per-(arcs, |X|) ratios, exhaustive or truncated
+    # a plain per-row Fraction walk over the forms agrees with the report,
+    # exhaustive or truncated
     for report in _small_width_reports():
         best, arg = Fraction(0), ((), ())
-        for e in report.table:
-            ratio = None if e.arcs is None else Fraction(e.arcs, report.f(len(e.restrict_labels)))
+        for row in report.forms:
+            ratio = None if row.arcs is None else Fraction(row.arcs, report.f(row.size))
             if ratio is not None and ratio > best:
-                best, arg = ratio, (e.restrict_labels, e.contract_labels)
+                best, arg = ratio, (row.restrict_labels, row.contract_labels)
         assert (report.value, report.argmax) == (best, arg), report
 
 

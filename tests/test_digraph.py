@@ -29,6 +29,16 @@ def test_build_and_queries():
     assert d.label_set({0, 2}) == frozenset({"a", "c"})
 
 
+def test_build_reads_a_vertex_count_through_the_integer_rule():
+    # a count is anything with __index__, as `uniform` accepts it
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert Digraph.build(Two(), [(0, 1)]) == Digraph.build(2, [(0, 1)])
+    assert Digraph.build(Two()).labels == ("v0", "v1")
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         Digraph.build(["a", "a"], [])

@@ -581,8 +581,13 @@ def test_ids_at_rejects_a_mask_beyond_the_ground():
     rep = uniform_rep(1, 2)
     assert rep.ids_at(0b11) == {0, 1}
     for mask in (0b100, -1):
-        with pytest.raises(ValueError, match=r"outside vertex range 0\.\.1"):
+        with pytest.raises(ValueError, match=r"outside ground position range 0\.\.1$"):
             rep.ids_at(mask)
+    # an empty ground has no positions, and the message says so
+    with pytest.raises(ValueError, match="^mask 0b1 outside the empty ground position range$"):
+        Representation(Digraph.build(2, []), [], []).ids_at(1)
+    with pytest.raises(ValueError, match=r"^mask 0b100 outside vertex range 0\.\.1$"):
+        Representation._make((Digraph.build(2, []), 0b100, 0))
 
 
 def test_package_routing_never_goes_through_the_public_edge(monkeypatch):
