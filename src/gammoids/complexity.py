@@ -247,7 +247,8 @@ class SuperAdditiveFn(NamedTuple):
             return self.coeff * max(1, x)
         if self.kind == "table":
             if x >= len(self.table):
-                raise ValueError(f"value table covers 0..{len(self.table) - 1}, asked for {x}")
+                covers = f"0..{len(self.table) - 1}" if self.table else "the empty range"
+                raise ValueError(f"value table covers {covers}, asked for {x}")
             return self.table[x]
         raise ValueError(f"unknown function kind {self.kind!r}")
 
@@ -539,7 +540,8 @@ def _form_rows(m: Matroid, f: SuperAdditiveFn, limits) -> Iterator[tuple[FormRow
     check_enumeration_limit(len(m.ground))
     upto = max(2 * len(m.ground), 2)
     if f.kind == "table" and len(f.table) <= upto:
-        raise ValueError(f"the value table covers 0..{len(f.table) - 1}, the width needs 0..{upto}")
+        covers = f"0..{len(f.table) - 1}" if f.table else "the empty range"
+        raise ValueError(f"the value table covers {covers}, the width needs 0..{upto}")
     if not is_superadditive(f, upto):
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()

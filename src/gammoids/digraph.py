@@ -104,7 +104,8 @@ class Digraph(_DigraphFields):
                 raise ValueError(f"arc {arc!r} is not a (tail, head) pair") from None
             u, v = as_int(u, "vertex id"), as_int(v, "vertex id")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
+                where = f"vertex range 0..{n - 1}" if n else "the empty vertex range"
+                raise ValueError(f"arc ({u}, {v}) outside {where}")
             out[u] |= 1 << v
         return super().__new__(cls, labels, tuple(out))
 

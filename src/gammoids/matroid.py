@@ -191,34 +191,16 @@ def contract_to(m: Matroid, labels: Iterable[str]) -> Matroid:
     return _project(m, mask, m.full_mask & ~mask)
 
 
-def nested_minors(m: Matroid) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], frozenset[int]]]:
-    """Every minor of m as a base-mask family: for each X within Y within the
-    ground, yield ``(x_labels, y_labels, bases)`` with the labels as sorted
-    tuples, Y and then X in ascending mask order.  `bases` are the bases of
-    ``restrict(contract_to(m, Y), X)`` as masks over the positions of Y, so
-    the elements of Y - X appear as loops: ``restrict(Matroid(y_labels,
-    bases), x_labels)`` is that minor.  No per-minor `Matroid` is built, and
-    the families are built once per distinct (|Y|, contracted bases) key."""
-    names = [()]  # names[mask]: the labels at the positions in mask, sorted
-    for lab in m.ground:
-        names += [t + (lab,) for t in names]
-    walks: dict[tuple[int, frozenset[int]], list[frozenset[int]]] = {}
-    seen: dict[frozenset[int], frozenset[int]] = {}  # one object per family
+def nested_minors(m: Matroid) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], Matroid]]:
+    """Every minor of m: for each X within Y within the ground, yield
+    ``(x_labels, y_labels, restrict(contract_to(m, Y), X))`` with the labels
+    as sorted tuples, Y and then X in ascending mask order.  Each Y is
+    contracted once, through the module-global `contract_to` and `restrict`."""
     for y in range(1 << len(m.ground)):
-        contracted = contract_to(m, names[y])
-        key = (len(contracted.ground), contracted.bases)
-        families = walks.get(key)
-        if families is None:
-            families = walks[key] = []
-            for x in range(1 << len(contracted.ground)):
-                cut = [b & x for b in contracted.bases]
-                r = max(map(int.bit_count, cut))
-                family = frozenset([c for c in cut if c.bit_count() == r])
-                families.append(seen.setdefault(family, family))
-        sub, y_labels = 0, names[y]
-        for bases in families:  # X ascends as the submasks of y
-            yield names[sub], y_labels, bases
-            sub = (sub - y) & y
+        contracted = contract_to(m, m.labels_of(y))
+        for x in range(1 << len(contracted.ground)):  # X ascends as the submasks of y
+            x_labels = tuple(lab for i, lab in enumerate(contracted.ground) if x >> i & 1)
+            yield x_labels, contracted.ground, restrict(contracted, x_labels)
 
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:

@@ -374,9 +374,9 @@ def minor_complexity_suite(limits: SearchLimits | None = None) -> SuiteResult:
 
 def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     """Closure of bounded width at desk scale, all with the built-in
-    max(1, x) denominator: the width never grows under minors, is invariant
-    under duality, and a direct sum's width stays below the max of the
-    summands'.
+    max(1, x) denominator: the width never grows under the minors that
+    `nested_minors` builds, is invariant under duality, and a direct sum's
+    width stays below the max of the summands'.
 
     Each width runs its own searches, so the dual-width check compares
     widths searched apart, though ``search_form`` folds M and M* into one
@@ -403,8 +403,7 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
         cases += 1
         if dual_report.value != report.value:
             _clip(failures, f"{m!r}: width of the dual differs")
-        for x_labels, y_labels, _ in nested_minors(m):
-            minor = restrict(contract_to(m, y_labels), x_labels)
+        for x_labels, y_labels, minor in nested_minors(m):
             minor_report = f_width(minor, fhat, limits)
             cases += 1
             if minor_report.value > report.value:

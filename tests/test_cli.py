@@ -399,6 +399,13 @@ def test_a_value_table_too_short_for_the_width_names_both_ranges(tmp_path, capsy
     assert capsys.readouterr().err == "error: the value table covers 0..2, the width needs 0..6\n"
 
 
+def test_an_empty_value_table_covers_the_empty_range(matroid_file, tmp_path, capsys):
+    table = tmp_path / "empty.json"
+    table.write_text("[]")
+    assert main(["fwidth", matroid_file, "--f", f"table:{table}"]) == 1
+    assert capsys.readouterr().err == "error: the value table covers the empty range, the width needs 0..4\n"
+
+
 @pytest.mark.parametrize("command", [["fwidth"], ["in-class", "--q", "1"]])
 @pytest.mark.parametrize("spec", ["linear:0", "table"])
 def test_a_denominator_that_is_not_super_additive_exits_1(matroid_file, tmp_path, capsys, command, spec):

@@ -50,8 +50,10 @@ def test_duplicate_labels_rejected():
 
 
 def test_arc_out_of_range_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^arc \(0, 2\) outside vertex range 0\.\.1$"):
         Digraph.build(2, [(0, 2)])
+    with pytest.raises(ValueError, match=r"^arc \(0, 0\) outside the empty vertex range$"):
+        Digraph([], [(0, 0)])
 
 
 def test_non_integer_vertex_ids_are_rejected_not_truncated():

@@ -181,13 +181,19 @@ def test_nested_minors_walk_y_then_x_in_ascending_mask_order():
     assert sum(1 for _ in nested_minors(uniform(2, 4))) == 81
 
 
-def test_nested_minors_yield_each_minor_as_a_base_mask_family_over_y():
-    # the elements of Y - X are loops of the family, so restricting it to X
-    # gives the minor itself
+def test_nested_minors_yield_every_minor_of_the_rank_oracle():
+    # each X within Y once, and the minor's bases are those of the brute
+    # contraction to Y restricted to X, moved onto the minor's positions
     for size in range(5):
         for m in all_matroids(tuple("abcd"[:size])):
-            for x, y, bases in nested_minors(m):
-                assert restrict(Matroid(y, bases), x) == restrict(contract_to(m, y), x)
+            pairs = []
+            for x, y, minor in nested_minors(m):
+                assert set(x) <= set(y) and minor.ground == x, (m, x, y)
+                contracted = brute_contract_bases(m.bases, m.full_mask, m.mask_of(y))
+                oracle = brute_restrict_bases(contracted, m.mask_of(x))
+                assert {minor.mask_of(m.labels_of(b)) for b in oracle} == minor.bases, (m, x, y)
+                pairs.append((x, y))
+            assert len(pairs) == len(set(pairs)) == 3**size, m
 
 
 def test_direct_sum():

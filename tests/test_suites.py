@@ -1,11 +1,12 @@
 """The property suites report the failures of their callees.
 
-Each test replaces a callee that a suite looks up in `gammoids.suites` by a
-wrong one, or hands the suite a bad certificate, and pins the suite's whole
-failure list: the messages, their order and where the list is clipped.
+Each test replaces a callee that a suite looks up in `gammoids.suites`, or
+one that `nested_minors` looks up in `gammoids.matroid`, by a wrong one, or
+hands the suite a bad certificate, and pins the suite's whole failure list:
+the messages, their order and where the list is clipped.
 """
 
-from gammoids import suites
+from gammoids import matroid, suites
 from gammoids.complexity import ComplexityCertificate, uniform_rep
 from gammoids.digraph import Digraph, opposite
 from gammoids.matroid import uniform
@@ -87,11 +88,12 @@ def test_minor_complexity_suite_checks_restriction_then_contraction(monkeypatch)
 
 
 def test_closure_suite_checks_each_single_against_its_dual_and_minors(monkeypatch):
-    restrict = suites.restrict
-    # every dual reads as U(1,2), every three-element minor as U(2,4)
+    restrict = matroid.restrict
+    # every dual reads as U(1,2), every three-element minor the walk builds
+    # as U(2,4)
     monkeypatch.setattr(suites, "dual", lambda m: uniform(1, 2))
     monkeypatch.setattr(
-        suites, "restrict", lambda m, labels: uniform(2, 4) if len(labels) == 3 else restrict(m, labels)
+        matroid, "restrict", lambda m, labels: uniform(2, 4) if len(labels) == 3 else restrict(m, labels)
     )
     result = suites.closure_suite()
     assert result.cases == 180
