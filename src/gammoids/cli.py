@@ -27,7 +27,7 @@ from .complexity import (
     in_class,
     width_report_to_dict,
 )
-from .matroid import check_enumeration_limit, gamma, matroid_from_dict, matroid_to_dict, uniform
+from .matroid import gamma, matroid_from_dict, matroid_to_dict, uniform
 from .matroid import contract_to as matroid_contract_to
 from .matroid import dual as matroid_dual
 from .matroid import restrict as matroid_restrict
@@ -171,13 +171,13 @@ def cmd_eval(args) -> int:
 def cmd_transform(args) -> int:
     rep = _load_rep(args.rep)
     before = gamma(rep) if args.verify else None
-    subset_labels = _labels_arg(args.subset) if args.subset else None
+    subset_labels = None if args.subset is None else _labels_arg(args.subset)
 
     if args.op == "dualize":
         out = dual_representation(rep)
         expect = matroid_dual
     elif args.op in ("standardize", "rebase"):
-        if args.base:
+        if args.base is not None:
             base = rep.digraph.ids(_labels_arg(args.base))
         else:
             if args.op == "rebase":
@@ -242,7 +242,6 @@ def cmd_in_class(args) -> int:
 
 
 def cmd_conjecture_uniform(args) -> int:
-    check_enumeration_limit(args.size)  # before `uniform` builds all C(n, r) bases
     m = uniform(args.rank, args.size)
     expected = args.rank * (args.size - args.rank)
     cert = arc_complexity(m, _limits(args))

@@ -78,7 +78,7 @@ least in its class (witnesses of the same chunk), so the rule never skips it;
 raw candidates are counted before any filter, so each chunk returns the
 witness and count it had without the rule.
 
-Lemma B (search form): ``search_form(m.bases)`` drops the loops and
+Lemma B (search form): ``search_form(m)`` drops the loops and
 coloops of m, renames the other elements by position, and keeps the smaller
 of that matroid and its dual; its arc complexity is that of m.  Relabelling
 is trivial, since standardness and routing never read a label.  A loop added to
@@ -118,7 +118,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .digraph import Digraph, as_int, collection, fresh_label
-from .matroid import ENUMERATION_LIMIT, Matroid, check_enumeration_limit, contract_to, restrict, uniform
+from .matroid import ENUMERATION_LIMIT, Matroid, contract_to, restrict, uniform
 from .representation import Representation, rep_to_dict
 from .routing import _routable_ids
 
@@ -211,9 +211,10 @@ class SuperAdditiveFn(NamedTuple):
 
     @classmethod
     def linear(cls, coeff) -> "SuperAdditiveFn":
-        if isinstance(coeff, (bool, str)):
-            raise ValueError(f"the linear coefficient must be a number, got {coeff!r}")
-        c = Fraction(coeff)
+        try:  # a bool or a string is no number; Fraction rejects None, nan and infinity
+            c = Fraction(None if isinstance(coeff, (bool, str)) else coeff)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"the linear coefficient must be a number, got {coeff!r}") from None
         if c.denominator != 1:
             raise ValueError(f"the linear coefficient must be an integer, got {c}")
         return cls("linear", coeff=int(c))
@@ -427,7 +428,6 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     t0 = time.perf_counter()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
     g = len(m.ground)
-    check_enumeration_limit(g)
 
     t_masks = sorted(m.bases)
     rank_sets = tuple(s for s in range(1 << g) if s.bit_count() == m.rank)
@@ -500,7 +500,6 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
 def verify_uniform_conjecture(r: int, n: int, limits: SearchLimits | None = None) -> bool:
     """True iff the exhaustive search certifies that the rank-r uniform
     matroid on n elements has arc complexity exactly r * (n - r)."""
-    check_enumeration_limit(n)  # before `uniform` builds all C(n, r) bases
     return arc_complexity(uniform(r, n), limits).value == r * (n - r)
 
 
@@ -509,19 +508,19 @@ def verify_uniform_conjecture(r: int, n: int, limits: SearchLimits | None = None
 _POSITION_LABELS = tuple(f"{i:02d}" for i in range(ENUMERATION_LIMIT))
 
 
-def search_form(bases: frozenset[int]) -> Matroid:
-    """The matroid a base-mask family searches as (Lemma B): the positions in
-    every base or in none (the coloops and loops) dropped, the rest
-    compressed in ascending order and labelled "00", "01", .., and of that
-    family and its complements the one with the smaller sorted base tuple.
-    Equal for the bases of a matroid, of its dual, of it plus loops or
-    coloops, and of any relabelling that keeps the ground order.  Sorted
-    labels and equicardinal kept masks make the result valid unchecked."""
-    union, inter = _union_and_intersection(bases)
+def search_form(m: Matroid) -> Matroid:
+    """The matroid `m` searches as (Lemma B): the positions in every base or
+    in none (the coloops and loops) dropped, the rest compressed in ascending
+    order and labelled "00", "01", .., and of that family and its complements
+    the one with the smaller sorted base tuple.  Equal for `m`, its dual,
+    `m` plus loops or coloops, and any relabelling of `m` that keeps the
+    ground order.  Sorted labels, equicardinal kept masks and the bound on
+    the ground of `m` make the result valid unchecked."""
+    union, inter = _union_and_intersection(m.bases)
     free = union & ~inter
     kept = [i for i in range(free.bit_length()) if free >> i & 1]
     full = (1 << len(kept)) - 1
-    masks = sorted(sum(1 << j for j, i in enumerate(kept) if b >> i & 1) for b in bases)
+    masks = sorted(sum(1 << j for j, i in enumerate(kept) if b >> i & 1) for b in m.bases)
     cobases = sorted(full & ~b for b in masks)
     return tuple.__new__(Matroid, (_POSITION_LABELS[: len(kept)], frozenset(min(masks, cobases))))
 
@@ -537,7 +536,6 @@ def _form_rows(m: Matroid, f: SuperAdditiveFn, limits) -> Iterator[tuple[FormRow
     position order, built through `restrict` and `contract_to`.  Each form
     is searched once while time remains; its arcs are None when the limits
     stopped that search or the deadline had passed before it."""
-    check_enumeration_limit(len(m.ground))
     upto = max(2 * len(m.ground), 2)
     if f.kind == "table" and len(f.table) <= upto:
         covers = f"0..{len(f.table) - 1}" if f.table else "the empty range"
@@ -546,7 +544,7 @@ def _form_rows(m: Matroid, f: SuperAdditiveFn, limits) -> Iterator[tuple[FormRow
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
-    start = search_form(m.bases)
+    start = search_form(m)
     seen = {start}
     queue = deque([(start, m, m.ground)])
     while queue:
@@ -568,7 +566,7 @@ def _form_rows(m: Matroid, f: SuperAdditiveFn, limits) -> Iterator[tuple[FormRow
             rest = [x for x in minor.ground if x != lab]
             less = tuple(y for y in y_labels if y != lab)
             for child, y in ((restrict(minor, rest), y_labels), (contract_to(minor, rest), less)):
-                child_form = search_form(child.bases)
+                child_form = search_form(child)
                 if child_form not in seen:
                     seen.add(child_form)
                     queue.append((child_form, child, y))

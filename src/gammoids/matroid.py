@@ -8,8 +8,8 @@ list is in sorted label order, and representation surgery can rename or
 re-order vertices without disturbing element identity.
 
 Bases are the canonical stored form; rank, duals and minors are read off
-the base masks.  This is compact and sufficient for the desk scale this
-library targets (|E| <= 16).
+the base masks, at the desk scale the constructor enforces (|E| <= 16);
+duals and minors never grow a ground, so no consumer checks it again.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class EnumerationLimitError(ValueError):
 
 
 def check_enumeration_limit(size: int) -> None:
-    """Raise :class:`EnumerationLimitError` for a ground set of more than
-    `ENUMERATION_LIMIT` elements, before anything enumerates its subsets."""
+    """Raise :class:`EnumerationLimitError` for more than `ENUMERATION_LIMIT`
+    elements: `Matroid` checks, and `uniform`, `direct_sum` and `gamma` before enumerating."""
     if size > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"ground set has {size} elements, enumeration limit is {ENUMERATION_LIMIT}"
@@ -50,6 +50,7 @@ class Matroid(_MatroidFields):
 
     def __new__(cls, ground: Iterable[str], bases: Iterable[int]):
         ground = tuple(collection(ground, "ground set"))
+        check_enumeration_limit(len(ground))
         bases = frozenset(as_int(b, "base mask") for b in collection(bases, "bases"))
         if len(set(ground)) != len(ground):
             raise ValueError("ground set labels must be unique")
@@ -129,7 +130,8 @@ def validate_matroid(m: Matroid) -> None:
     Exchange holds for (B, x) iff every base avoiding x meets Y, that is iff
     no cobase contains Y + x: one lookup in a table of the cobases' subsets.
     A base disjoint from Y + x then violates exchange with B.  Construction
-    enforces non-empty, equicardinal bases, so this completes the axioms.
+    enforces at most 16 elements and non-empty, equicardinal bases, so this
+    completes the axioms with a table of at most 2^16 bytes.
     """
     g, bases = len(m.ground), sorted(m.bases)
     in_cobase = subset_table(g, (m.full_mask & ~b for b in bases))
@@ -149,6 +151,7 @@ def validate_matroid(m: Matroid) -> None:
 def uniform(r: int, n: int) -> Matroid:
     """Uniform matroid of rank r on ground set {"1", .., "n"}."""
     r, n = as_int(r, "rank"), as_int(n, "ground size")
+    check_enumeration_limit(n)
     if r < 0 or n < 0 or r > n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     ground = tuple(str(i) for i in range(1, n + 1))
@@ -210,6 +213,7 @@ def direct_sum(m: Matroid, n: Matroid) -> Matroid:
     if overlap:
         raise ValueError(f"direct sum needs disjoint ground sets; both contain {sorted(overlap)}")
     ground = m.ground + n.ground
+    check_enumeration_limit(len(ground))
     shift = len(m.ground)
     bases = frozenset(b | (c << shift) for b in m.bases for c in n.bases)
     return Matroid(ground, bases)
@@ -288,7 +292,6 @@ def matroid_from_dict(obj: dict) -> Matroid:
         isinstance(b, list) and all(isinstance(x, str) for x in b) for b in bases
     ):
         raise ValueError('matroid field "bases" must be a list of lists of strings')
-    check_enumeration_limit(len(ground))  # before the exchange check's 2^|E| table
     m = Matroid.from_label_sets(ground, bases)
     validate_matroid(m)
     return m

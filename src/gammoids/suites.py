@@ -1,9 +1,9 @@
 """Property suites: exhaustive and randomized checks runnable from the CLI.
 
 Each suite returns a :class:`SuiteResult` with a case count and a list of
-failure descriptions (empty = pass).  Randomized suites take an explicit
-seed and are fully reproducible.  The acceptance tests run these same suites
-at their pinned sizes.
+failure descriptions (empty = pass); randomized suites take an explicit seed
+and are reproducible.  The acceptance tests call them on cases of their own:
+criterion 7 checks the 186 certificates of criteria 4 and 5, ``check bounds`` 15.
 """
 
 from __future__ import annotations

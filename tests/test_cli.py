@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -184,8 +185,12 @@ def test_a_base_listing_a_label_twice_is_rejected(tmp_path, capsys):
 
 
 def test_ground_sets_over_the_limit_exit_1_at_once(tmp_path, capsys):
-    matroid = tmp_path / "u4_17.json"  # 2,380 bases: too many to check basis exchange fast
-    matroid.write_text(json.dumps(matroid_to_dict(uniform(4, 17))))
+    # U(4, 17) as a file, written without `uniform`, which rejects 17
+    # elements; 2,380 bases: too many to check basis exchange fast
+    labels = [str(i) for i in range(1, 18)]
+    u4_17 = {"ground": sorted(labels), "bases": sorted(sorted(c) for c in combinations(labels, 4))}
+    matroid = tmp_path / "u4_17.json"
+    matroid.write_text(json.dumps(u4_17))
     free = Representation(Digraph.build(17, []), frozenset(), frozenset(range(17)))
     rep = tmp_path / "free17.json"
     rep.write_text(json.dumps(rep_to_dict(free)))
@@ -433,6 +438,40 @@ def test_transform_to_a_subset_requires_the_subset(rep_file, capsys, op):
     assert capsys.readouterr().err == f"error: {op} needs --subset\n"
 
 
+def _write_rep(tmp_path, arcs, targets):
+    # a representation on a, b, t whose ground is all three vertices
+    path = tmp_path / "rep.json"
+    digraph = {"vertices": ["a", "b", "t"], "arcs": arcs}
+    path.write_text(json.dumps({"digraph": digraph, "targets": targets, "ground": ["a", "b", "t"]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("op", ["restrict", "contract"])
+def test_an_empty_subset_is_the_empty_set(tmp_path, capsys, op):
+    u13 = _write_rep(tmp_path, [["a", "t"], ["b", "t"]], ["t"])
+    assert main(["transform", u13, op, "--subset", "", "--verify"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["ground"] == []
+    assert out.err == "verified: transformed representation has the expected matroid\n"
+
+
+def test_an_empty_base_is_the_empty_set(tmp_path, capsys):
+    u13 = _write_rep(tmp_path, [["a", "t"], ["b", "t"]], ["t"])
+    assert main(["transform", u13, "standardize", "--base", ""]) == 1
+    assert capsys.readouterr().err == "error: routing starts [] have size 0, rank is 1\n"
+    rank0 = _write_rep(tmp_path, [], [])
+    assert main(["transform", rank0, "rebase", "--base", "", "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["targets"] == []
+
+
+def test_transform_verify_exits_4_when_the_matroid_changes(rep_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "restrict_representation", lambda rep, xs: rep)
+    assert main(["transform", rep_file, "restrict", "--subset", "1,2,3", "--verify"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "verification FAILED: transformed representation has the wrong matroid\n"
+
+
 def test_conjecture_uniform_command(capsys):
     assert main(["conjecture-uniform", "1", "3"]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -441,6 +480,17 @@ def test_conjecture_uniform_command(capsys):
 
 def test_conjecture_uniform_budget(capsys):
     assert main(["conjecture-uniform", "2", "4", "--limits.max-arcs", "3"]) == 3
+
+
+def test_conjecture_uniform_exits_4_on_a_value_off_by_one(monkeypatch, capsys):
+    search = cli.arc_complexity
+    off_by_one = lambda m, limits: search(m, limits)._replace(value=3)  # U(1,3) has 2 arcs
+    monkeypatch.setattr(cli, "arc_complexity", off_by_one)
+    assert main(["conjecture-uniform", "1", "3"]) == 4
+    out = capsys.readouterr()
+    blob = json.loads(out.out)
+    assert (blob["value"], blob["expected"], blob["verified"]) == (3, 2, False)
+    assert out.err == "REFUTED at this size: arc complexity is 3, expected 2\n"
 
 
 def test_check_command_small(capsys):
@@ -484,6 +534,27 @@ def test_run_suite_reads_only_none_as_the_default_size(monkeypatch):
         with pytest.raises(ValueError, match=">= 1"):
             suites.run_suite(name, **options)
     assert sizes == [6, 2]
+
+
+def test_check_exits_4_and_prints_each_failure(monkeypatch, capsys):
+    from gammoids import suites
+
+    failing = suites.SuiteResult("closure", 2, ["case 1: wrong", "case 2: wrong"], 0.0)
+    monkeypatch.setattr(suites, "closure_suite", lambda limits: failing)
+    assert main(["check", "closure"]) == 4
+    out = capsys.readouterr()
+    lines = ["closure: 2 cases, FAIL (2 failures), 0.0s", "  case 1: wrong", "  case 2: wrong"]
+    assert out.err.splitlines() == lines
+    blob = {"suite": "closure", "cases": 2, "failures": failing.failures, "passed": False}
+    assert json.loads(out.out) == [{**blob, "runtime_secs": 0.0}]
+
+
+def test_run_suite_rejects_an_unknown_name():
+    from gammoids import suites
+
+    message = f"^unknown suite 'nope'; available: {', '.join(suites.SUITE_NAMES)}, all$"
+    with pytest.raises(ValueError, match=message):
+        suites.run_suite("nope")
 
 
 def test_check_rejects_unknown_suite():

@@ -84,6 +84,19 @@ def test_linear_rejects_booleans_and_strings():
             SuperAdditiveFn.linear(coeff)
 
 
+@pytest.mark.parametrize("coeff", [float("inf"), float("-inf"), float("nan")])
+def test_linear_rejects_infinities_and_nan_by_value(coeff):
+    message = f"^the linear coefficient must be a number, got {coeff!r}$"
+    with pytest.raises(ValueError, match=message):
+        SuperAdditiveFn.linear(coeff)
+
+
+def test_denominators_are_defined_on_the_naturals_only():
+    for f in (SuperAdditiveFn.fhat(), SuperAdditiveFn.linear(2), SuperAdditiveFn.from_table([1])):
+        with pytest.raises(ValueError, match="^defined on the naturals only$"):
+            f(-1)
+
+
 def test_table_out_of_range():
     f = SuperAdditiveFn.from_table([1, 1])
     with pytest.raises(ValueError, match=r"^value table covers 0\.\.1, asked for 2$"):
@@ -691,7 +704,7 @@ def _check_width(m, f, values=None):
     assert report.value == max(_ratio(f, arcs, x) for x, _, arcs in table), m
     exact = {(x, y): arcs for x, y, arcs in table}
     assert _ratio(f, exact[report.argmax], report.argmax[0]) == report.value, m
-    forms = {search_form(minor.bases) for _, _, minor in nested_minors(m)}
+    forms = {search_form(minor) for _, _, minor in nested_minors(m)}
     assert report.searches == len(report.forms) == len(forms), m
     for row in report.forms:
         assert row.size == len(row.restrict_labels), (m, row)
@@ -732,10 +745,10 @@ def test_search_form_keeps_every_width_table_and_value():
 
     for size in range(5):
         for m in all_matroids(tuple("abcd"[:size])):
-            assert arc_complexity(search_form(m.bases)).value == arc_complexity(m).value, m
+            assert arc_complexity(search_form(m)).value == arc_complexity(m).value, m
             for row in f_width(m, SuperAdditiveFn.fhat()).forms:
                 minor = restrict(contract_to(m, row.contract_labels), row.restrict_labels)
-                assert len(search_form(minor.bases).ground) == row.size, (m, row)
+                assert len(search_form(minor).ground) == row.size, (m, row)
                 assert arc_complexity(minor).value == row.arcs, (m, row)
 
 
@@ -751,12 +764,24 @@ def test_search_form_folds_duality_loops_and_coloops():
 
     for size in range(5):
         for m in all_matroids(tuple("bcde"[:size])):
-            form = search_form(m.bases)
-            assert search_form(dual(m).bases) == form, m
+            form = search_form(m)
+            assert search_form(dual(m)) == form, m
             for extra in (uniform(0, 1), uniform(1, 1)):
                 for label in ("a", "z"):  # sorted before and after the rest
-                    assert search_form(direct_sum(m, relabel(extra, {"1": label})).bases) == form, m
-    assert search_form(uniform(2, 4).bases).ground == ("00", "01", "02", "03")
+                    assert search_form(direct_sum(m, relabel(extra, {"1": label}))) == form, m
+    assert search_form(uniform(2, 4)).ground == ("00", "01", "02", "03")
+
+
+def test_search_form_of_every_matroid_of_at_most_four_is_pinned():
+    # the forms as they were when `search_form` read a base-mask family
+    from gammoids.suites import all_matroids
+
+    rows = [
+        repr((m, search_form(m))) for size in range(5) for m in all_matroids(tuple("abcd"[:size]))
+    ]
+    assert len(rows) == 92
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "044f6a28affa018a791c67a299981e6a3cd7eb23bdde899cca387ce16bbca3ff"
 
 
 def _four_fold_sum(letters: str):

@@ -1,6 +1,8 @@
 import ast
 import json
+import pickle
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -106,6 +108,46 @@ def test_construction_guards():
         Matroid(("b", "a"), frozenset({0b100}))  # outside ground, unsorted labels
     with pytest.raises(ValueError, match="twice"):
         Matroid.from_label_sets(("a", "b"), [("a", "a"), ("b", "b")])  # a repeated label
+
+
+def test_no_matroid_is_built_over_the_limit():
+    # every way in reaches the constructor's check; `uniform` and
+    # `direct_sum` check before they enumerate
+    labels = [f"e{i:02d}" for i in range(17)]
+    at_limit = Matroid(labels[:16], [0])
+    over = tuple.__new__(Matroid, (tuple(labels), frozenset({0})))
+    for build in (
+        lambda: Matroid(labels, [0]),
+        lambda: Matroid.from_label_sets(labels, [[]]),
+        lambda: Matroid._make((labels, [0])),
+        lambda: at_limit._replace(ground=tuple(labels)),
+        lambda: pickle.loads(pickle.dumps(over)),
+        lambda: matroid_from_dict({"ground": labels, "bases": [[]]}),
+        lambda: relabel(over, {}),
+    ):
+        with pytest.raises(EnumerationLimitError, match="^ground set has 17 elements, .* is 16$"):
+            build()
+    # from_label_sets maps the labels before the constructor runs
+    with pytest.raises(ValueError, match="^unknown label 'zz'$"):
+        Matroid.from_label_sets(labels, [["zz"]])
+    t0 = time.monotonic()
+    with pytest.raises(EnumerationLimitError, match="^ground set has 28 elements"):
+        uniform(10, 28)  # 13.1M bases
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_direct_sum_checks_the_limit_before_it_builds_the_product():
+    class Unread(frozenset):
+        def __iter__(self):
+            raise AssertionError("the bases were enumerated")
+
+    primed = {str(i): f"x{i}" for i in range(1, 10)}
+    u49 = uniform(4, 9)
+    m = tuple.__new__(Matroid, (u49.ground, Unread(u49.bases)))  # 126 bases
+    with pytest.raises(EnumerationLimitError, match="^ground set has 18 elements"):
+        direct_sum(m, relabel(u49, primed))  # 126 * 126 = 15,876 masks
+    u48 = uniform(4, 8)
+    assert len(direct_sum(u48, relabel(u48, primed)).bases) == 70 * 70  # 16 elements
 
 
 @pytest.mark.parametrize("mask", [1.9, "1"])
