@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 
 from .complexity import (
@@ -113,9 +114,10 @@ def _note(message: str) -> None:
 
 
 def _limits(args) -> SearchLimits:
+    """The command's limits; its one wall-clock budget starts here."""
     return SearchLimits(
         max_arcs=args.max_arcs,
-        wall_secs=args.wall_secs,
+        deadline=None if args.wall_secs is None else time.monotonic() + args.wall_secs,
         workers=args.workers,
     )
 
@@ -195,8 +197,6 @@ def cmd_transform(args) -> int:
         else:
             out = contract_representation(rep, xs)
             expect = lambda m: matroid_contract_to(m, subset_labels)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown transform {args.op!r}")
 
     if args.verify:
         if gamma(out) != expect(before):
@@ -300,7 +300,7 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--limits.max-arcs", dest="max_arcs", type=_at_least(0), default=None,
                         help="cap on the searched arc count")
     parser.add_argument("--limits.wall-secs", dest="wall_secs", type=_seconds, default=None,
-                        help="total wall-clock budget in seconds")
+                        help="wall-clock seconds from the command's start, shared by all its searches")
     parser.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes for the search (default 1)")
 
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
             return args.func(args)
         except BudgetExhaustedError as exc:
             _note(f"budget exhausted: {exc}")
-            _emit({"error": "budget-exhausted", "message": str(exc)}, getattr(args, "output", None))
+            _emit({"error": "budget-exhausted", "message": str(exc)}, args.output)
             return EXIT_BUDGET
     except ValueError as exc:
         _note(f"error: {exc}")

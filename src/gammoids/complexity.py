@@ -134,15 +134,17 @@ class BudgetExhaustedError(RuntimeError):
 class SearchLimits(NamedTuple):
     """Budgets for the arc-complexity search.  ``max_arcs`` caps the deepening
     level (default: the rank/size upper bound, which is always sufficient for
-    a gammoid), ``wall_secs`` is a total wall-clock budget, and ``workers`` is
-    the number of search processes for the levels big enough to pay for them
-    (see ``_POOL_MIN_CANDIDATES``).  The internal vertices a level needs
-    follow from Lemma A in the module docstring, so they are no budget.  A
-    search that either budget stops before it finds a witness raises
+    a gammoid), ``deadline`` is the ``time.monotonic()`` reading at which the
+    wall-clock budget ends, computed once by the caller that sets it and so
+    shared by every search these limits reach, and ``workers`` is the number
+    of search processes for the levels big enough to pay for them (see
+    ``_POOL_MIN_CANDIDATES``).  The internal vertices a level needs follow
+    from Lemma A in the module docstring, so they are no budget.  A search
+    that either budget stops before it finds a witness raises
     :class:`BudgetExhaustedError`; it never returns an uncertified value."""
 
     max_arcs: int | None = None
-    wall_secs: float | None = None
+    deadline: float | None = None
     workers: int = 1
 
 
@@ -426,7 +428,6 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     """
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
-    deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
     g = len(m.ground)
 
     t_masks = sorted(m.bases)
@@ -442,7 +443,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
     level_stats: list[LevelStats] = []
     for a in range(lb, cap + 1):
         todo = [
-            (g, t_mask, k, a, m.bases, rank_sets, deadline)
+            (g, t_mask, k, a, m.bases, rank_sets, limits.deadline)
             for k in range((a - lb) // 2 + 1)  # Lemma A, counted from both ends
             for t_mask in t_masks
         ]
@@ -484,7 +485,7 @@ def arc_complexity(m: Matroid, limits: SearchLimits | None = None) -> Complexity
                 runtime_secs=time.perf_counter() - t0,
             )
 
-        if deadline is not None and time.monotonic() > deadline:
+        if limits.deadline is not None and time.monotonic() > limits.deadline:
             raise BudgetExhaustedError(
                 f"wall-clock budget hit at level {a} with no representation found",
                 tuple(level_stats),
@@ -543,7 +544,6 @@ def _form_rows(m: Matroid, f: SuperAdditiveFn, limits) -> Iterator[tuple[FormRow
     if not is_superadditive(f, upto):
         raise ValueError("the width denominator must be super-additive with values >= 1")
     limits = limits or SearchLimits()
-    deadline = time.monotonic() + limits.wall_secs if limits.wall_secs is not None else None
     start = search_form(m)
     seen = {start}
     queue = deque([(start, m, m.ground)])
@@ -552,12 +552,11 @@ def _form_rows(m: Matroid, f: SuperAdditiveFn, limits) -> Iterator[tuple[FormRow
         union, inter = _union_and_intersection(minor.bases)
         free = tuple(lab for i, lab in enumerate(minor.ground) if (union & ~inter) >> i & 1)
         coloops = minor.labels_of(inter)
-        remaining = None if deadline is None else deadline - time.monotonic()
-        searched = remaining is None or remaining > 0
+        searched = limits.deadline is None or time.monotonic() < limits.deadline
         arcs = None
         if searched:
             try:
-                arcs = arc_complexity(form, limits._replace(wall_secs=remaining)).value
+                arcs = arc_complexity(form, limits).value
             except BudgetExhaustedError:
                 pass
         # the loops deleted and the coloops contracted

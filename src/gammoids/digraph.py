@@ -77,9 +77,12 @@ def mask_in_range(mask, n: int, what: str) -> int:
     return mask
 
 
-def _unique(labels: tuple[str, ...]) -> None:
+def _unique(labels: tuple[str, ...], what: str = "vertex labels") -> None:
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError(f"label {label!r} is not a string")
     if len(set(labels)) != len(labels):
-        raise ValueError("vertex labels must be unique")
+        raise ValueError(f"{what} must be unique")
 
 
 class _DigraphFields(NamedTuple):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
-from .digraph import as_int, collection, label_positions
+from .digraph import _unique, as_int, collection, label_positions
 from .routing import _link, _routable_ids
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,8 +52,7 @@ class Matroid(_MatroidFields):
         ground = tuple(collection(ground, "ground set"))
         check_enumeration_limit(len(ground))
         bases = frozenset(as_int(b, "base mask") for b in collection(bases, "bases"))
-        if len(set(ground)) != len(ground):
-            raise ValueError("ground set labels must be unique")
+        _unique(ground, "ground set labels")
         if not bases:
             raise ValueError("a matroid needs at least one base")
         full = (1 << len(ground)) - 1

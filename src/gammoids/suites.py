@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -21,6 +22,7 @@ from .bruteforce import (
     brute_restrict_bases,
 )
 from .complexity import (
+    BudgetExhaustedError,
     ComplexityCertificate,
     SearchLimits,
     SuperAdditiveFn,
@@ -376,7 +378,8 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     """Closure of bounded width at desk scale, all with the built-in
     max(1, x) denominator: the width never grows under the minors that
     `nested_minors` builds, is invariant under duality, and a direct sum's
-    width stays below the max of the summands'.
+    width stays below the max of the summands'.  A width the limits truncate
+    raises :class:`BudgetExhaustedError`, never a FAIL.
 
     Each width runs its own searches, so the dual-width check compares
     widths searched apart, though ``search_form`` folds M and M* into one
@@ -388,6 +391,12 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     cases = 0
     fhat = SuperAdditiveFn.fhat()
 
+    def width(m: Matroid) -> Fraction:
+        report = f_width(m, fhat, limits)
+        if not report.exhaustive:
+            raise BudgetExhaustedError(f"width of {m!r} truncated at lower bound {report.value}")
+        return report.value
+
     singles = [
         uniform(1, 2),
         uniform(1, 3),
@@ -396,17 +405,13 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
         uniform(2, 4),
     ]
     for m in singles:
-        report = f_width(m, fhat, limits)
-        if not report.exhaustive:
-            _clip(failures, f"{m!r}: width search not exhaustive")
-        dual_report = f_width(dual(m), fhat, limits)
+        value = width(m)
         cases += 1
-        if dual_report.value != report.value:
+        if width(dual(m)) != value:
             _clip(failures, f"{m!r}: width of the dual differs")
         for x_labels, y_labels, minor in nested_minors(m):
-            minor_report = f_width(minor, fhat, limits)
             cases += 1
-            if minor_report.value > report.value:
+            if width(minor) > value:
                 _clip(
                     failures,
                     f"{m!r}: minor X={list(x_labels)} Y={list(y_labels)} has larger width",
@@ -420,16 +425,10 @@ def closure_suite(limits: SearchLimits | None = None) -> SuiteResult:
     ]
     for m, n in pairs:
         n = relabel(n, {lab: lab + "*" for lab in n.ground})
-        rm, rn, rs = [f_width(x, fhat, limits) for x in (m, n, direct_sum(m, n))]
+        wm, wn, ws = width(m), width(n), width(direct_sum(m, n))
         cases += 1
-        if not all(r.exhaustive for r in (rm, rn, rs)):
-            _clip(failures, f"sum {m!r} + {n!r}: width search not exhaustive")
-            continue
-        if rs.value > max(rm.value, rn.value):
-            _clip(
-                failures,
-                f"sum {m!r} + {n!r}: width {rs.value} exceeds max({rm.value}, {rn.value})",
-            )
+        if ws > max(wm, wn):
+            _clip(failures, f"sum {m!r} + {n!r}: width {ws} exceeds max({wm}, {wn})")
     return SuiteResult("closure", cases, failures, time.perf_counter() - t0)
 
 

@@ -83,6 +83,14 @@ def test_eval_malformed_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_eval_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["eval", str(bad)]) == 1
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+
+
 def test_eval_missing_file(capsys):
     assert main(["eval", "/nonexistent/nope.json"]) == 1
 
@@ -547,6 +555,33 @@ def test_check_exits_4_and_prints_each_failure(monkeypatch, capsys):
     assert out.err.splitlines() == lines
     blob = {"suite": "closure", "cases": 2, "failures": failing.failures, "passed": False}
     assert json.loads(out.out) == [{**blob, "runtime_secs": 0.0}]
+
+
+def test_check_closure_under_a_cap_exits_3_and_reports_no_failure(capsys):
+    # U(1,3) needs two arcs, so its width cannot be certified under the cap
+    assert main(["check", "closure", "--limits.max-arcs", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("budget exhausted: ") and "FAIL" not in out.err
+    assert json.loads(out.out)["error"] == "budget-exhausted"
+
+
+def test_check_shares_one_budget_across_its_searches(monkeypatch, capsys):
+    # the clock jumps past the one-second budget once the first search ends,
+    # so a later search whose level ends without a witness must stop
+    from gammoids import suites
+
+    now = [0.0]
+    search = suites.arc_complexity
+
+    def search_then_jump(m, limits):
+        cert = search(m, limits)
+        now[0] = 2.0
+        return cert
+
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(suites, "arc_complexity", search_then_jump)
+    assert main(["check", "minor-complexity", "--limits.wall-secs", "1"]) == 3
+    assert "budget exhausted: wall-clock budget hit" in capsys.readouterr().err
 
 
 def test_run_suite_rejects_an_unknown_name():

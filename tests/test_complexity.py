@@ -220,20 +220,20 @@ def test_budget_max_arcs_too_small():
 
 
 def test_search_returns_an_exact_value_or_raises(monkeypatch):
-    # a clock that passes the deadline at its j-th reading after the one
-    # that sets it: wherever the search is cut, it raises or certifies
+    # a clock that passes the deadline at its j-th reading: wherever the
+    # search is cut, it raises or certifies
     import gammoids.complexity as complexity
 
     outcomes = []
     for j in (1, 2, 3, 10, 60, 100, 150, 1000):
-        readings = count()
+        readings = count(1)
         clock = types.SimpleNamespace(
             monotonic=lambda: 0.0 if next(readings) < j else 2.0,
             perf_counter=time.perf_counter,
         )
         monkeypatch.setattr(complexity, "time", clock)
         try:
-            cert = arc_complexity(uniform(2, 6), SearchLimits(wall_secs=1.0))
+            cert = arc_complexity(uniform(2, 6), SearchLimits(deadline=1.0))
         except BudgetExhaustedError:
             outcomes.append(None)
             continue
@@ -245,7 +245,7 @@ def test_search_returns_an_exact_value_or_raises(monkeypatch):
 
 def test_wall_clock_budget():
     with pytest.raises(BudgetExhaustedError):
-        arc_complexity(uniform(3, 6), SearchLimits(wall_secs=0.0))
+        arc_complexity(uniform(3, 6), SearchLimits(deadline=time.monotonic()))
 
 
 @pytest.fixture
@@ -671,7 +671,7 @@ def test_truncated_width_is_a_lower_bound():
 
 
 def test_width_wall_clock_truncation():
-    report = f_width(uniform(2, 4), SuperAdditiveFn.fhat(), SearchLimits(wall_secs=0.0))
+    report = f_width(uniform(2, 4), SuperAdditiveFn.fhat(), SearchLimits(deadline=time.monotonic()))
     assert not report.exhaustive
     assert report.searches == 0 and all(row.arcs is None for row in report.forms)
 
@@ -850,18 +850,20 @@ def test_contractions_that_repeat_under_other_labels_keep_the_width_table():
     _check_width(m, SuperAdditiveFn.fhat())
 
 
-@pytest.mark.parametrize(
-    "limits",
-    [SearchLimits(max_arcs=1), SearchLimits(max_arcs=2), SearchLimits(wall_secs=0.05)],
-)
+def _limits(max_arcs=None, secs=None):
+    """Limits whose deadline, if any, lies `secs` seconds after this call."""
+    return SearchLimits(max_arcs, None if secs is None else time.monotonic() + secs)
+
+
+@pytest.mark.parametrize("limits", [{"max_arcs": 1}, {"max_arcs": 2}, {"secs": 0.05}])
 def test_truncated_width_certifies_only_unfolded_values(limits):
     # under any limit, a value a form row reports as certified is the
     # exhaustive value of its labelled minor, and the rows are the forms of
-    # the exhaustive walk, in its order
+    # the exhaustive walk, in its order; a deadline is set per width
     fhat = SuperAdditiveFn.fhat()
     pair = relabel(uniform(1, 2), {"1": "x", "2": "y"})
     for m in (uniform(2, 4), uniform(2, 5), direct_sum(uniform(2, 3), pair)):
-        report = f_width(m, fhat, limits)
+        report = f_width(m, fhat, _limits(**limits))
         exact = f_width(m, fhat)
         assert report.searches <= len(report.forms) == len(exact.forms)
         for row, full in zip(report.forms, exact.forms):
@@ -886,19 +888,19 @@ def test_width_report_serialization():
 @functools.cache
 def _small_width_reports() -> tuple[WidthReport, ...]:
     """Width reports of every matroid on at most four labels under fhat and
-    linear:2, exhaustive and under SearchLimits(max_arcs=1) and (wall_secs=
-    0.05), plus U(3,6), whose 12 s search the clock cuts, and a pair whose
-    labels need escaping."""
+    linear:2, exhaustive and under SearchLimits(max_arcs=1) and a deadline
+    0.05 s after each width starts, plus U(3,6), whose 12 s search the clock
+    cuts, and a pair whose labels need escaping."""
     from gammoids.suites import all_matroids
 
     reports = []
     for f in (SuperAdditiveFn.fhat(), SuperAdditiveFn.parse("linear:2")):
-        for limits in (None, SearchLimits(max_arcs=1), SearchLimits(wall_secs=0.05)):
+        for limits in ({}, {"max_arcs": 1}, {"secs": 0.05}):
             for size in range(5):
                 for m in all_matroids(tuple("abcd"[:size])):
-                    reports.append(f_width(m, f, limits))
+                    reports.append(f_width(m, f, _limits(**limits)))
     fhat = SuperAdditiveFn.fhat()
-    reports.append(f_width(uniform(3, 6), fhat, SearchLimits(wall_secs=0.05)))
+    reports.append(f_width(uniform(3, 6), fhat, _limits(secs=0.05)))
     reports.append(f_width(relabel(uniform(1, 2), {"1": 'é"', "2": "a\nb\\"}), fhat))
     return tuple(reports)
 

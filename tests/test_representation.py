@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from gammoids.bruteforce import brute_gamma_bases
 from gammoids.complexity import SuperAdditiveFn, kw_upper_bound, uniform_rep
 from gammoids.digraph import Digraph, digraph_from_dict, opposite, remove_loops, swap
-from gammoids.matroid import Matroid, contract_to, dual, gamma, matroid_from_dict, restrict, uniform
+from gammoids.matroid import (
+    Matroid, contract_to, dual, gamma, matroid_from_dict, relabel, restrict, uniform
+)
 from gammoids.representation import (
     NotABaseError,
     NotStandardError,
@@ -437,6 +439,13 @@ def test_standard_targets_form_a_base():
 # -- JSON ---------------------------------------------------------------------------
 
 
+def test_repr_names_labels_and_arcs():
+    assert repr(uniform_rep(1, 2)) == (
+        "Representation(targets=['1'], ground=['1', '2'], "
+        "digraph=Digraph(2 vertices, arcs=[(1, 0)]))"
+    )
+
+
 def test_rep_json_round_trip():
     rep = uniform_rep(2, 4)
     blob = json.dumps(rep_to_dict(rep))
@@ -524,6 +533,10 @@ def test_value_types_are_checked_tuples():
         "Matroid(('a',), 5)",
         "Matroid(None, [1])",
         "Matroid.from_label_sets(('a',), 5)",
+        "Matroid((5, 'a'), {1})",
+        "Matroid.from_label_sets((5, 'a'), [(5,)])",
+        "relabel(uniform(1, 2), {'1': 5})",
+        "Digraph([[5]], [])",
         "Routing(5, [1])",
         "d.ids(5)",
         "max_routing(d, 5, [1])",
@@ -541,11 +554,12 @@ def test_value_types_are_checked_tuples():
     ],
 )
 def test_malformed_arguments_are_value_errors_naming_them(call):
-    # an argument that is no collection, or an arc that is no pair, is
-    # rejected where it enters, never as a TypeError or AttributeError
+    # an argument that is no collection, an arc that is no pair, or a label
+    # that is no string, is rejected where it enters, never as a TypeError
+    # or AttributeError
     d = Digraph.build(3, [(0, 1), (1, 2)])
     rep = uniform_rep(1, 2)
-    with pytest.raises(ValueError, match=r"(5|None|2\.0) is not a"):
+    with pytest.raises(ValueError, match=r"(5|None|2\.0|\[5\]) is not a"):
         eval(call, globals(), {"d": d, "rep": rep})
 
 
