@@ -42,7 +42,7 @@ from .representation import (
     restrict_representation,
     standardize,
 )
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITES
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -266,14 +266,13 @@ def cmd_conjecture_uniform(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_suite(
-        args.suite,
-        seed=args.seed,
-        count=args.count,
-        max_vertices=args.max_vertices,
-        limits=_limits(args),
-    )
-    for res in results:
+    options = dict(seed=args.seed, count=args.count, limits=_limits(args))
+    if args.max_vertices is not None:
+        options["max_vertices"] = args.max_vertices
+    results = []
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        res = SUITES[name](**options)
+        results.append(res)
         _note(res.summary())
         for failure in res.failures:
             _note(f"  {failure}")
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conjecture_uniform)
 
     p = sub.add_parser("check", help="run a property suite")
-    p.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--count", type=_at_least(1), default=500, help="random representations to draw")
     p.add_argument("--max-vertices", type=_at_least(1), default=None)

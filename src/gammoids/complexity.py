@@ -578,7 +578,9 @@ def f_width(m: Matroid, f: SuperAdditiveFn, limits: SearchLimits | None = None) 
 
     `f` is validated super-additive on 1..2|E| first.  The maximum is taken
     over the search forms of the minors (Lemma W), one search each; the
-    argmax is the first maximising form in the order they were met."""
+    argmax is the first form with the largest positive ratio in the order
+    they were met, and the empty minor ``((), ())``, not always a row,
+    when no solved form has a positive ratio."""
     best = Fraction(0)
     best_arg: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     rows: list[FormRow] = []

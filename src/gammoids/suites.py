@@ -2,8 +2,11 @@
 
 Each suite returns a :class:`SuiteResult` with a case count and a list of
 failure descriptions (empty = pass); randomized suites take an explicit seed
-and are reproducible.  The acceptance tests call them on cases of their own:
-criterion 7 checks the 186 certificates of criteria 4 and 5, ``check bounds`` 15.
+and are reproducible.  `SUITES` maps each suite's name, in run order, to a
+call on the command's keyword options; ``gammoids check`` runs it and prints
+each verdict as its suite ends.  The acceptance tests call the suites on
+cases of their own: criterion 7 checks the 186 certificates of criteria 4
+and 5, ``check bounds`` 15.
 """
 
 from __future__ import annotations
@@ -68,11 +71,13 @@ class SuiteResult(NamedTuple):
         return not self.failures
 
     def summary(self) -> str:
-        verdict = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures)"
+        count = f"more than {_MAX_FAILURES}" if _SUPPRESSED in self.failures else len(self.failures)
+        verdict = "PASS" if self.passed else f"FAIL ({count} failures)"
         return f"{self.name}: {self.cases} cases, {verdict}, {self.runtime_secs:.1f}s"
 
 
 _MAX_FAILURES = 25  # messages kept per suite; one more line says the rest were dropped
+_SUPPRESSED = "... further failures suppressed"
 _ORACLE_INSTANCES = 1000  # random instances in the routing-oracle suite
 
 
@@ -80,7 +85,7 @@ def _clip(failures: list[str], message: str) -> None:
     if len(failures) < _MAX_FAILURES:
         failures.append(message)
     elif len(failures) == _MAX_FAILURES:
-        failures.append("... further failures suppressed")
+        failures.append(_SUPPRESSED)
 
 
 # -- generators ---------------------------------------------------------------
@@ -470,11 +475,11 @@ def bounds_suite(
     return SuiteResult("bounds", len(certificates), failures, time.perf_counter() - t0)
 
 
-# One entry per suite, in run order; each takes run_suite's keyword
-# arguments, where a missing max_vertices means the suite's default.  The
-# lambdas look their suite up when called, so rebinding a suite function in
-# this module (as a tracer does) reaches run_suite too.
-_SUITE_CALLS = {
+# The table `check` runs: one entry per suite, in run order, each taking the
+# command's options as keywords (a missing max_vertices means the suite's
+# default).  The lambdas look their suite up when called, so rebinding a
+# suite function in this module (as a tracer does) reaches `check` too.
+SUITES = {
     "swap-invariance": lambda max_vertices=4, **_: swap_invariance_suite(max_vertices),
     "standardization": lambda count, seed, max_vertices=6, **_: standardization_suite(
         count, max_vertices, seed
@@ -486,25 +491,3 @@ _SUITE_CALLS = {
     "closure": lambda limits, **_: closure_suite(limits),
     "bounds": lambda limits, **_: bounds_suite(limits=limits),
 }
-SUITE_NAMES = tuple(_SUITE_CALLS)
-
-
-def run_suite(
-    name: str,
-    *,
-    seed: int = 7,
-    count: int = 500,
-    max_vertices: int | None = None,
-    limits: SearchLimits | None = None,
-) -> list[SuiteResult]:
-    """Run one named suite (or "all"); sizes default to the acceptance-grade
-    parameters, and ``max_vertices=None`` picks each suite's own default."""
-    if name != "all" and name not in _SUITE_CALLS:
-        raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}, all")
-    if count < 1 or (max_vertices is not None and max_vertices < 1):
-        raise ValueError(f"need count >= 1 and max_vertices >= 1, got {count} and {max_vertices}")
-    options = dict(seed=seed, count=count, limits=limits)
-    if max_vertices is not None:
-        options["max_vertices"] = max_vertices
-    names = SUITE_NAMES if name == "all" else (name,)
-    return [_SUITE_CALLS[entry](**options) for entry in names]

@@ -515,33 +515,48 @@ def test_check_command_routing(capsys):
     assert json.loads(capsys.readouterr().out)[0]["cases"] == 1000
 
 
-def test_run_suite_all_case_counts():
+def test_check_all_case_counts(capsys):
     from gammoids import suites
 
-    results = suites.run_suite("all", seed=1, count=50, max_vertices=3)
-    assert [r.name for r in results] == list(suites.SUITE_NAMES)
-    assert [r.cases for r in results] == [3088, 54, 153, 1000, 15, 92, 180, 15]
-    assert all(r.passed for r in results)
+    assert main(["check", "all", "--seed", "1", "--count", "50", "--max-vertices", "3"]) == 0
+    results = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in results] == list(suites.SUITES)
+    assert [r["cases"] for r in results] == [3088, 54, 153, 1000, 15, 92, 180, 15]
+    assert all(r["passed"] for r in results)
 
 
-def test_run_suite_reads_only_none_as_the_default_size(monkeypatch):
+def test_check_reads_a_missing_max_vertices_as_the_default_size(monkeypatch, capsys):
     from gammoids import suites
 
     sizes = []
-    monkeypatch.setattr(
-        suites, "routing_oracle_suite", lambda max_vertices, seed: sizes.append(max_vertices) or []
-    )
-    suites.run_suite("routing-oracle")
-    suites.run_suite("routing-oracle", max_vertices=2)
+
+    def oracle(max_vertices, seed):
+        sizes.append(max_vertices)
+        return suites.SuiteResult("routing-oracle", 0, [], 0.0)
+
+    monkeypatch.setattr(suites, "routing_oracle_suite", oracle)
+    assert main(["check", "routing-oracle"]) == 0
+    assert main(["check", "routing-oracle", "--max-vertices", "2"]) == 0
     assert sizes == [6, 2]
-    for name, options in [
-        ("routing-oracle", dict(max_vertices=0)),
-        ("surgery", dict(max_vertices=-2)),
-        ("standardization", dict(count=0)),
-    ]:
-        with pytest.raises(ValueError, match=">= 1"):
-            suites.run_suite(name, **options)
-    assert sizes == [6, 2]
+
+
+def test_a_budget_stop_keeps_the_verdicts_of_the_suites_that_ran(capsys):
+    # the four suites that run no search pass; arc-values then stops at
+    # U(1,3), whose lower bound of 2 arcs is above the cap
+    argv = ["check", "all", "--max-vertices", "2", "--count", "5", "--limits.max-arcs", "1"]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    verdicts = [re.sub(r", [0-9.]+s$", "", line) for line in lines[:4]]
+    assert verdicts == [
+        "swap-invariance: 16 cases, PASS",
+        "standardization: 5 cases, PASS",
+        "surgery: 12 cases, PASS",
+        "routing-oracle: 1000 cases, PASS",
+    ]
+    message = "max_arcs=1 is below the lower bound 2; nothing to search"
+    assert lines[4:] == [f"budget exhausted: {message}"]
+    assert json.loads(out.out) == {"error": "budget-exhausted", "message": message}
 
 
 def test_check_exits_4_and_prints_each_failure(monkeypatch, capsys):
@@ -582,14 +597,6 @@ def test_check_shares_one_budget_across_its_searches(monkeypatch, capsys):
     monkeypatch.setattr(suites, "arc_complexity", search_then_jump)
     assert main(["check", "minor-complexity", "--limits.wall-secs", "1"]) == 3
     assert "budget exhausted: wall-clock budget hit" in capsys.readouterr().err
-
-
-def test_run_suite_rejects_an_unknown_name():
-    from gammoids import suites
-
-    message = f"^unknown suite 'nope'; available: {', '.join(suites.SUITE_NAMES)}, all$"
-    with pytest.raises(ValueError, match=message):
-        suites.run_suite("nope")
 
 
 def test_check_rejects_unknown_suite():

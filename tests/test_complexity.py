@@ -855,14 +855,30 @@ def _limits(max_arcs=None, secs=None):
     return SearchLimits(max_arcs, None if secs is None else time.monotonic() + secs)
 
 
-@pytest.mark.parametrize("limits", [{"max_arcs": 1}, {"max_arcs": 2}, {"secs": 0.05}])
-def test_truncated_width_certifies_only_unfolded_values(limits):
+@pytest.mark.parametrize("limits", [{"max_arcs": 1}, {"max_arcs": 2}, {"secs": 1.0}])
+def test_truncated_width_certifies_only_unfolded_values(limits, monkeypatch):
     # under any limit, a value a form row reports as certified is the
     # exhaustive value of its labelled minor, and the rows are the forms of
-    # the exhaustive walk, in its order; a deadline is set per width
+    # the exhaustive walk, in its order.  In the deadline case the clock
+    # jumps past the deadline once the first search ends, so each walk is
+    # cut after one search
+    from gammoids import complexity
+
+    now = [0.0]
+    if "secs" in limits:
+        search = complexity.arc_complexity
+
+        def search_then_jump(m, limits):
+            cert = search(m, limits)
+            now[0] = 2.0
+            return cert
+
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(complexity, "arc_complexity", search_then_jump)
     fhat = SuperAdditiveFn.fhat()
     pair = relabel(uniform(1, 2), {"1": "x", "2": "y"})
     for m in (uniform(2, 4), uniform(2, 5), direct_sum(uniform(2, 3), pair)):
+        now[0] = 0.0
         report = f_width(m, fhat, _limits(**limits))
         exact = f_width(m, fhat)
         assert report.searches <= len(report.forms) == len(exact.forms)
@@ -870,6 +886,8 @@ def test_truncated_width_certifies_only_unfolded_values(limits):
             assert row._replace(arcs=None) == full._replace(arcs=None)
             if row.arcs is not None:
                 assert row.arcs == full.arcs, (m, row)
+        if "secs" in limits:
+            assert not report.exhaustive and report.searches == 1 < len(report.forms), m
 
 
 def test_width_report_serialization():

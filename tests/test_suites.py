@@ -226,3 +226,14 @@ def test_bounds_suite_reports_each_check_of_a_bad_certificate():
         f"{tag}: witness has an internal vertex of in- or out-degree below 2",
         f"{tag}: witness has more internal vertices than Lemma A allows",
     ]
+
+
+def test_the_verdict_line_reads_clipped_failures_as_more_than_the_cap():
+    failures = []
+    for i in range(100):
+        suites._clip(failures, f"case {i}: wrong")
+    assert len(failures) == 26 and failures[-1] == "... further failures suppressed"
+    clipped = suites.SuiteResult("x", 100, failures, 0.0)
+    assert clipped.summary() == "x: 100 cases, FAIL (more than 25 failures), 0.0s"
+    kept = suites.SuiteResult("x", 25, failures[:25], 0.0)
+    assert kept.summary() == "x: 25 cases, FAIL (25 failures), 0.0s"
