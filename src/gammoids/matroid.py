@@ -166,17 +166,20 @@ def dual(m: Matroid) -> Matroid:
 
 def _project(m: Matroid, keep: int, by: int) -> Matroid:
     """The bases of `m` that meet the positions in `by` in the most elements,
-    cut down to the positions in `keep`.  They are equicardinal whenever
-    `keep` is `by` or its complement, the only two callers' choices, and the
-    kept labels stay sorted, so the result needs no check."""
+    cut down to the positions in `keep`, one plain loop over the kept
+    positions per base.  They are equicardinal whenever `keep` is `by` or
+    its complement, the only two callers' choices, and the kept labels stay
+    sorted, so the result needs no check."""
     rank_by = m.rank_of_mask(by)
     kept = [i for i in range(len(m.ground)) if keep >> i & 1]
-    bases = frozenset(
-        sum(1 << j for j, i in enumerate(kept) if b >> i & 1)
-        for b in m.bases
-        if (b & by).bit_count() == rank_by
-    )
-    return tuple.__new__(Matroid, (tuple(m.ground[i] for i in kept), bases))
+    bases = set()
+    for b in m.bases:
+        if (b & by).bit_count() == rank_by:
+            cut = 0
+            for j, i in enumerate(kept):
+                cut |= (b >> i & 1) << j
+            bases.add(cut)
+    return tuple.__new__(Matroid, (tuple(m.ground[i] for i in kept), frozenset(bases)))
 
 
 def restrict(m: Matroid, labels: Iterable[str]) -> Matroid:
@@ -236,36 +239,45 @@ def gamma(rep: "Representation") -> Matroid:
 
     Everything runs on the stored masks, through the unchecked routing core.
     The bases are the r-subsets of level 1 that route.  Level 1, the ground
-    vertices that reach a target (one backward reachability pass), holds
-    every independent set, and each of its 1-sets routes along a shortest
-    path; by Menger's theorem one maximum routing from level 1 routes a
-    largest routable subset, so the routed starts of one `_link` call are
-    the rank r and a base.  That base is never flow-checked; the other
-    r-sets are, with `_routable_ids`, when r >= 2.  The positions are the
-    ground ids in label order, ``rep.ground_order()``, which is the
-    `Matroid`'s stored order, so it is built without a second check.
+    vertices that reach a target (one backward reachability pass, which
+    stops once it holds the whole ground), holds every independent set, and
+    each of its 1-sets routes along a shortest path; by Menger's theorem one
+    maximum routing from level 1 routes a largest routable subset, so the
+    routed starts of one `_link` call, made when level 1 has at least two
+    elements, are the rank r and a base.  Two cases need no walk over the
+    r-sets: r = |level 1| (level 1 is the one base, empty when r = 0) and
+    r = 1 (every 1-set is a base).  Otherwise every r-set but that base is
+    flow-checked with `_routable_ids`.  The positions are the ground ids in
+    label order, ``rep.ground_order()``, which is the `Matroid`'s stored
+    order, so it is built without a second check.
     """
-    d, targets = rep.digraph, rep.target_mask
+    d, targets, ground = rep
     out = d.out
     ids = rep.ground_order()
     check_enumeration_limit(len(ids))
 
     reach, prev = targets, -1
-    while reach != prev:  # grow by the vertices with an arc into `reach`
+    while reach != prev and ground & ~reach:  # grow by the vertices with an arc into `reach`
         prev = reach
         for v, heads in enumerate(out):
             if heads & reach:
                 reach |= 1 << v
-    ones = [i for i in ids if reach >> i & 1]
-    routed = ones if len(ones) <= 1 else _link(out, targets, rep.ground_mask & reach)[0]
-    rank, base = len(routed), sum(1 << i for i in routed)
-
-    # the r-sets as vertex masks and, in the same order, as position masks
-    sets = map(sum, combinations([1 << i for i in ones], rank))
-    positions = map(sum, combinations([1 << p for p, i in enumerate(ids) if reach >> i & 1], rank))
-    bases = frozenset(
-        b for s, b in zip(sets, positions) if rank < 2 or s == base or _routable_ids(out, targets, s)
-    )
+    # level 1 as (vertex bit, position bit) pairs, in position order
+    ones = [(1 << i, 1 << p) for p, i in enumerate(ids) if reach >> i & 1]
+    if len(ones) < 2:
+        rank = len(ones)
+    else:
+        routed, _ = _link(out, targets, ground & reach)
+        rank, base = len(routed), sum(1 << i for i in routed)
+    if rank == len(ones):  # level 1 is the one base
+        bases = frozenset([sum(p for _, p in ones)])
+    elif rank == 1:
+        bases = frozenset(p for _, p in ones)
+    else:  # the r-sets as vertex masks and, in the same order, as position masks
+        vertex_bits, position_bits = zip(*ones)
+        sets = map(sum, combinations(vertex_bits, rank))
+        positions = map(sum, combinations(position_bits, rank))
+        bases = frozenset(b for s, b in zip(sets, positions) if s == base or _routable_ids(out, targets, s))
     return tuple.__new__(Matroid, (tuple(map(d.labels.__getitem__, ids)), bases))
 
 

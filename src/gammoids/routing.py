@@ -30,7 +30,6 @@ outside the digraph is a ValueError.  Then they call the core.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .digraph import Digraph, _ground_subset, _vertex_mask, collection
@@ -97,20 +96,22 @@ def _link(
     the sources that got a path (ascending) and the residual graph as one
     out-mask per node, ``v_in = v``, ``v_out = n + v`` and sink ``2n``; a
     flow path leaves v by the one successor missing from ``res[n + v]``.
-    With `early_abort`, gives up once a source fails, enough for
-    independence tests."""
+    Sources are taken lowest bit first; each breadth-first search walks a
+    plain list as its FIFO queue, appends neighbours in ascending node
+    order and stops once the sink is seen.  With `early_abort`, gives up
+    once a source fails, enough for independence tests."""
     n = len(succ)
     snk = 2 * n
+    sink = 1 << snk
     res = [1 << (n + v) for v in range(n)]
     res += [heads & ~(1 << v) | (targets >> v & 1) << snk for v, heads in enumerate(succ)] + [0]
     routed: list[int] = []
     parent = [0] * (snk + 1)
-    for x in range(n):
-        if not sources >> x & 1:
-            continue
-        seen, queue = 1 << x, deque([x])
-        while queue and not seen >> snk:
-            a = queue.popleft()
+    while sources:  # ascending source order
+        x = (sources & -sources).bit_length() - 1
+        sources &= sources - 1
+        seen, queue = 1 << x, [x]
+        for a in queue:  # the list grows as the search runs: a FIFO queue
             new = res[a] & ~seen
             seen |= new
             while new:  # ascending node order
@@ -118,7 +119,9 @@ def _link(
                 new &= new - 1
                 parent[b] = a
                 queue.append(b)
-        if not seen >> snk:
+            if seen & sink:
+                break
+        else:
             if early_abort:
                 return routed, res
             continue

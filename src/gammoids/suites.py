@@ -243,20 +243,22 @@ def surgery_suite(count: int = 500, max_vertices: int = 6, seed: int = 7) -> Sui
         rep = random_representation(rng, max_vertices)
         std = standardize(rep, rep.ids_at(min(gamma(rep).bases)))
         m = gamma(std)
-        for x_mask in range(m.full_mask + 1):
-            xs, kept = std.ids_at(x_mask), members(x_mask)
+        order, arcs, full = std.ground_order(), std.arc_count, m.full_mask
+        for x_mask in range(full + 1):
+            kept = members(x_mask)
+            xs = frozenset(map(order.__getitem__, kept))
             cases += 1
             tag = f"instance {i} X={[m.ground[p] for p in kept]}"
             for name, surgery, by, oracle in surgeries:
                 cut = surgery(std, xs)
                 if not is_standard(cut):
                     _clip(failures, f"{tag}: {name} not standard")
-                if cut.arc_count > std.arc_count:
+                if cut.arc_count > arcs:
                     _clip(failures, f"{tag}: {name} gained arcs")
                 got = gamma(cut)
-                if got != _project(m, x_mask, by(m.full_mask, x_mask)):
+                if got != _project(m, x_mask, by(full, x_mask)):
                     _clip(failures, f"{tag}: {name} represents the wrong matroid")
-                want = oracle(m.bases, m.full_mask, x_mask)  # masks over m's positions
+                want = oracle(m.bases, full, x_mask)  # masks over m's positions
                 if got.bases != {sum(1 << j for j, p in enumerate(kept) if b >> p & 1) for b in want}:
                     _clip(failures, f"{tag}: {name} disagrees with the rank oracle")
     return SuiteResult("surgery", cases, failures, time.perf_counter() - t0)

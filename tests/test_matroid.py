@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -352,6 +353,41 @@ def test_gamma_matches_path_family_oracle():
     assert sum(gamma(rep).rank >= 3 for rep in reps) >= 100
 
 
+def _small_loop_free_representations():
+    """Every loop-free digraph on at most 3 vertices with every target mask
+    and every ground mask: the domain of the ``suites`` benchmark workload."""
+    for n in range(4):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for arcs in range(1 << len(pairs)):
+            d = Digraph.build(n, [a for k, a in enumerate(pairs) if arcs >> k & 1])
+            for t_mask in range(1 << n):
+                for e_mask in range(1 << n):
+                    yield Representation._make((d, t_mask, e_mask))
+
+
+def _gamma_case(m):
+    """Which of `gamma`'s cases builds m, and the size of its level 1 (the
+    ground vertices that reach a target, which are the non-loops)."""
+    level_1 = 0
+    for b in m.bases:
+        level_1 |= b
+    level_1 = level_1.bit_count()
+    if m.rank == level_1:
+        return ("rank 0" if level_1 == 0 else "one base"), level_1
+    return ("rank 1" if m.rank == 1 else "general walk"), level_1
+
+
+def test_gamma_matches_the_path_family_oracle_on_every_small_loop_free_representation():
+    cases = Counter()
+    for rep in _small_loop_free_representations():
+        m = gamma(rep)
+        oracle = brute_gamma_bases(rep.digraph, rep.targets, rep.ground)
+        assert m.bases_label_sets() == {rep.digraph.label_set(b) for b in oracle}, rep
+        cases[_gamma_case(m)[0]] += 1
+    assert sum(cases.values()) == 1 + 4 + 64 + 4096
+    assert set(cases) == {"rank 0", "rank 1", "one base", "general walk"}, cases
+
+
 def test_gamma_routes_only_rank_sized_sets(monkeypatch):
     # singletons come from reachability and the rank from one maximum
     # routing, so only the r-sets of level 1 reach the flow check
@@ -374,6 +410,28 @@ def test_gamma_routes_only_rank_sized_sets(monkeypatch):
         assert all(xs.bit_count() == rank for xs in routed)
         checked += len(routed)
     assert checked
+
+
+def test_gamma_runs_flow_only_outside_its_closed_cases(monkeypatch):
+    # rank <= 1 or rank == |level 1| leaves one possible base family, so no
+    # r-set is flow-checked, and the rank routing runs only on a level 1
+    # of at least 2 elements; a lost case fails a count here, not a timing
+    import gammoids.matroid as matroid_module
+
+    links, checks = [], []
+    real_link, real_routable = matroid_module._link, matroid_module._routable_ids
+    monkeypatch.setattr(matroid_module, "_link", lambda *a: links.append(a) or real_link(*a))
+    monkeypatch.setattr(matroid_module, "_routable_ids", lambda *a: checks.append(a) or real_routable(*a))
+    seen = Counter()
+    for rep in _small_loop_free_representations():
+        links.clear()
+        checks.clear()
+        m = gamma(rep)
+        case, level_1 = _gamma_case(m)
+        assert len(links) == (level_1 >= 2), (rep, case)
+        assert bool(checks) == (case == "general walk"), (rep, case)
+        seen[case] += 1
+    assert len(seen) == 4, seen
 
 
 def test_gamma_never_flow_checks_the_base_its_rank_routing_routed(monkeypatch):
